@@ -1,10 +1,11 @@
 # Development targets for the dnscontext repository. `make check` is the
 # tier-1 gate: vet, build, the full test suite under the race detector
-# (the parallel analysis pipeline makes -race non-optional), and the
-# observability determinism proof (seeded runs must stay bit-identical
-# with metrics/tracing on or off). `make fuzz` (short budget) and
-# `make cover` are the deeper, slower companions — run them before
-# touching the trace codecs or the classifier.
+# (the parallel analysis pipeline makes -race non-optional), the
+# benchmark module's tests, and the observability determinism proof
+# (seeded runs must stay bit-identical with metrics/tracing on or off).
+# `make fuzz` (short budget) and `make cover` are the deeper, slower
+# companions — run them before touching the trace codecs or the
+# classifier.
 
 GO ?= go
 
@@ -18,11 +19,13 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadConns \
 	./internal/trace:FuzzReadDNSJSON \
 	./internal/trace:FuzzReadConnsJSON \
+	./internal/trace:FuzzWriteDNS \
+	./internal/trace:FuzzWriteConns \
 	./internal/bulk:FuzzFeed
 
-.PHONY: check vet build test race obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
+.PHONY: check vet build test race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
 
-check: vet build race obs-determinism stream-parity transport-matrix scan soak chaos
+check: vet build race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +38,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark is a module of its own (perfbench/go.mod), so
+# `./...` above never builds or tests it; this target catches a library
+# API change that would break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) test -race .
 
 # Bit-identical outputs with observability on vs. off, across worker
 # counts. Cheap enough to gate every check; also covered by `race`, but

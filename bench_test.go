@@ -482,6 +482,7 @@ func BenchmarkExtensionEncryptedDNS(b *testing.B) {
 // BenchmarkGenerate measures end-to-end trace synthesis.
 func BenchmarkGenerate(b *testing.B) {
 	cfg := SmallGeneratorConfig(1)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
 		if _, _, err := Generate(cfg); err != nil {

@@ -31,8 +31,62 @@ type Generator struct {
 	platforms map[resolver.PlatformID]*resolver.Recursive
 	profiles  []resolver.PlatformProfile
 	tm        *transferModel
-	ds        *trace.Dataset
 	houses    []*house
+
+	// Records are emitted into fixed-size segments; trim copies the
+	// window's records out once, into exactly sized slices.
+	dns   segments[trace.DNSRecord]
+	conns segments[trace.ConnRecord]
+}
+
+// segmentLen is the number of records per emission segment.
+const segmentLen = 4096
+
+// segments accumulates records in fixed-size blocks, so emitting never
+// regrows and recopies one ever larger slice.
+type segments[T any] struct {
+	full [][]T
+	cur  []T
+}
+
+func (s *segments[T]) add(v T) {
+	if len(s.cur) == cap(s.cur) {
+		if s.cur != nil {
+			s.full = append(s.full, s.cur)
+		}
+		s.cur = make([]T, 0, segmentLen)
+	}
+	s.cur = append(s.cur, v)
+}
+
+// collect returns, in emission order, the records keep accepts, copied
+// into one exactly sized slice (nil when none is kept). It empties s and
+// drops each segment once copied: the segments and that one slice are
+// all the record memory it ever holds.
+func (s *segments[T]) collect(keep func(*T) bool) []T {
+	blocks := append(s.full, s.cur)
+	s.full, s.cur = nil, nil
+	n := 0
+	for _, b := range blocks {
+		for i := range b {
+			if keep(&b[i]) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for k, b := range blocks {
+		for i := range b {
+			if keep(&b[i]) {
+				out = append(out, b[i])
+			}
+		}
+		blocks[k] = nil
+	}
+	return out
 }
 
 // Hard-coded external endpoints mimicking the paper's §5.1 examples: a
@@ -92,7 +146,6 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 		sim: netsim.New(),
 		rng: stats.NewRNG(cfg.Seed),
 		tm:  nil,
-		ds:  &trace.Dataset{},
 	}
 	g.tm = newTransferModel(g.rng.Split())
 
@@ -152,37 +205,33 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 	}
 
 	g.sim.RunUntil(cfg.Warmup + cfg.Duration)
-	g.trim()
-	g.ds.SortByTime()
+	ds := g.trim()
+	ds.SortByTime()
 	// The simulated resolvers hand each record its own small Answers
 	// backing; repack them into shared blocks so downstream passes walk
 	// contiguous memory instead of pointer-chasing tiny allocations.
-	g.ds.CompactAnswers()
+	ds.CompactAnswers()
 	eco := &Ecosystem{Zones: zones, Platforms: g.platforms, Profiles: g.profiles}
-	return g.ds, eco, nil
+	return ds, eco, nil
 }
 
-// trim drops warmup traffic and records starting after the observation
-// window, then shifts timestamps so the window starts at zero.
-func (g *Generator) trim() {
+// trim collects the emitted records, dropping warmup traffic and
+// records starting after the observation window, and shifts timestamps
+// so the window starts at zero.
+func (g *Generator) trim() *trace.Dataset {
 	lo, hi := g.cfg.Warmup, g.cfg.Warmup+g.cfg.Duration
-	dns := g.ds.DNS[:0]
-	for _, d := range g.ds.DNS {
-		if d.QueryTS >= lo && d.QueryTS <= hi {
-			d.QueryTS -= lo
-			d.TS -= lo
-			dns = append(dns, d)
-		}
+	ds := &trace.Dataset{
+		DNS:   g.dns.collect(func(d *trace.DNSRecord) bool { return d.QueryTS >= lo && d.QueryTS <= hi }),
+		Conns: g.conns.collect(func(c *trace.ConnRecord) bool { return c.TS >= lo && c.TS <= hi }),
 	}
-	g.ds.DNS = dns
-	conns := g.ds.Conns[:0]
-	for _, c := range g.ds.Conns {
-		if c.TS >= lo && c.TS <= hi {
-			c.TS -= lo
-			conns = append(conns, c)
-		}
+	for i := range ds.DNS {
+		ds.DNS[i].QueryTS -= lo
+		ds.DNS[i].TS -= lo
 	}
-	g.ds.Conns = conns
+	for i := range ds.Conns {
+		ds.Conns[i].TS -= lo
+	}
+	return ds
 }
 
 // diurnal is the activity-rate multiplier at virtual time t: quiet
@@ -217,7 +266,7 @@ type lookupOutcome struct {
 
 // lookup resolves host for device d at virtual time now, consulting the
 // device stub cache first and the device's resolver platforms otherwise.
-// Wire lookups append to the DNS dataset.
+// Wire lookups emit a DNS record.
 func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutcome {
 	if sl, ok := d.stub.Get(now, host); ok {
 		return lookupOutcome{ready: now, answers: sl.Answers, expired: sl.Expired}
@@ -252,7 +301,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		}
 	}
 
-	g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+	g.dns.add(trace.DNSRecord{
 		QueryTS:  now,
 		TS:       done,
 		Client:   d.house.addr,
@@ -286,7 +335,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 	// v4-only, so the response is empty and the transaction never pairs
 	// with a connection.
 	if g.rng.Bool(g.cfg.DualStackProb) {
-		g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+		g.dns.add(trace.DNSRecord{
 			QueryTS:  now,
 			TS:       done + time.Duration(g.rng.Intn(2000))*time.Microsecond,
 			Client:   d.house.addr,
@@ -307,9 +356,9 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 	}
 }
 
-// emitConn appends one connection record.
+// emitConn emits one connection record.
 func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, rport uint16, proto trace.Proto, tr transfer) {
-	g.ds.Conns = append(g.ds.Conns, trace.ConnRecord{
+	g.conns.add(trace.ConnRecord{
 		TS:        start,
 		Duration:  tr.duration,
 		Proto:     proto,
@@ -692,7 +741,7 @@ func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, 
 	}
 	res := rec.LookupConn(d.connState(pid, rec), now, name.Host, d.retry)
 	done := now + res.Duration
-	g.ds.DNS = append(g.ds.DNS, trace.DNSRecord{
+	g.dns.add(trace.DNSRecord{
 		QueryTS: now, TS: done, Client: d.house.addr, Resolver: res.Resolver,
 		ID: d.house.dnsID(), Query: name.Host, QType: 1, RCode: res.RCode, Answers: res.Answers,
 		Retries: uint8(res.Retries()), TC: res.TCPFallback,

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"time"
 
 	"dnscontext/internal/dnswire"
@@ -172,6 +173,14 @@ func (m *Monitor) feedDNS(ts time.Duration, p *pcap.Packet) {
 		return
 	}
 	q := msg.Questions[0]
+	if strings.ContainsAny(q.Name, "\t\n\r") {
+		// Label bytes decode verbatim, but a name holding a field or
+		// line separator cannot be logged as one TSV record (WriteDNS
+		// refuses it): it would split into lines that forge records.
+		m.DNSParseErrs++
+		m.obsParseErrs.Inc()
+		return
+	}
 	if !msg.Header.Response {
 		k := dnsKey{client: p.SrcAddr(), resolver: p.DstAddr(), port: p.UDP.SrcPort, id: msg.Header.ID}
 		m.pendingDNS[k] = pendingQuery{ts: ts, query: q.Name, qtype: uint16(q.Type)}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"testing"
@@ -195,6 +196,45 @@ func TestUnsolicitedDNSResponseDropped(t *testing.T) {
 	out := m.Flush()
 	if len(out.DNS) != 0 || m.DNSParseErrs != 1 {
 		t.Fatalf("dns=%d errs=%d", len(out.DNS), m.DNSParseErrs)
+	}
+}
+
+// TestForgedQueryNameDropped is the forged-record regression: a query
+// name whose label bytes hold a newline and then the leading fields of
+// a record for another house. Logged verbatim, its line split in two
+// and a quarantining reader accepted the second as genuine. The monitor
+// drops such a transaction as a DNS parse error — the query and its
+// response, one each — and logs the genuine one beside it.
+func TestForgedQueryNameDropped(t *testing.T) {
+	ds := sampleDataset()
+	forged := ds.DNS[0]
+	forged.ID = 8
+	forged.Query = "evil.example\n1.000000\t1.010000\t10.9.9.9\t8.8.8.8\t7\tbank.example"
+	ds.DNS = append(ds.DNS, forged)
+	ds.Conns = nil
+	m := New(DefaultOptions())
+	if err := Synthesize(ds, SynthOptions{}, func(ts time.Duration, frame []byte) error {
+		m.FeedFrame(ts, frame)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := m.Flush()
+	if len(out.DNS) != 1 || out.DNS[0].Query != "www.site00001.com" || m.DNSParseErrs != 2 {
+		t.Fatalf("records %+v, dns parse errors %d; want only the genuine record and 2 errors", out.DNS, m.DNSParseErrs)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteDNS(&buf, out.DNS); err != nil {
+		t.Fatal(err)
+	}
+	sc := trace.NewDNSScanner(&buf, trace.QuarantineAll())
+	for sc.Scan() {
+		if c := sc.Record().Client; c != houseA {
+			t.Fatalf("log holds a record for %v", c)
+		}
+	}
+	if len(sc.Quarantined()) != 0 {
+		t.Fatalf("log has malformed lines: %+v", sc.Quarantined())
 	}
 }
 

@@ -5,7 +5,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -21,23 +20,53 @@ type item struct {
 	fn  Event
 }
 
+// eventQueue is a binary min-heap of events ordered by (at, seq). The
+// order is total — seq is unique — so the pop sequence is fixed by the
+// scheduled events alone, whatever the heap's internal layout.
 type eventQueue []*item
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*item)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+
+func (q *eventQueue) push(it *item) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *eventQueue) pop() *item {
+	h := *q
+	n := len(h) - 1
+	it := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h
 	return it
 }
 
@@ -91,7 +120,7 @@ func (s *Sim) At(at time.Duration, fn Event) {
 		panic(fmt.Sprintf("netsim: scheduling event at %v, before now %v", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &item{at: at, seq: s.seq, fn: fn})
+	s.queue.push(&item{at: at, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run delay after the current virtual time. Negative
@@ -129,7 +158,7 @@ func (s *Sim) Schedule(at time.Duration, fn Event) *Handle {
 	}
 	s.seq++
 	it := &item{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, it)
+	s.queue.push(it)
 	return &Handle{it: it}
 }
 
@@ -137,7 +166,7 @@ func (s *Sim) Schedule(at time.Duration, fn Event) *Handle {
 // ones along the way. It reports whether an event was executed.
 func (s *Sim) Step() bool {
 	for len(s.queue) > 0 {
-		it := heap.Pop(&s.queue).(*item)
+		it := s.queue.pop()
 		if it.fn == nil {
 			continue // cancelled
 		}
@@ -159,7 +188,7 @@ func (s *Sim) Step() bool {
 func (s *Sim) RunUntil(end time.Duration) {
 	for len(s.queue) > 0 {
 		if s.queue[0].fn == nil {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			continue
 		}
 		if s.queue[0].at > end {

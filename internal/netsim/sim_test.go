@@ -110,6 +110,65 @@ func TestSimStepEmpty(t *testing.T) {
 	}
 }
 
+// TestSimPopsInAtSeqOrder schedules events at random times — many
+// sharing a timestamp, some cancelled, some scheduling more — and
+// requires execution in (at, seq) order: time order, FIFO within a
+// time.
+func TestSimPopsInAtSeqOrder(t *testing.T) {
+	r := stats.NewRNG(9)
+	s := New()
+	type fired struct {
+		at  time.Duration
+		seq int
+	}
+	var got []fired
+	seq := 0
+	var schedule func(at time.Duration)
+	schedule = func(at time.Duration) {
+		seq++
+		id := seq
+		h := s.Schedule(at, func(now time.Duration) {
+			got = append(got, fired{now, id})
+			if r.Bool(0.3) {
+				schedule(now + time.Duration(r.Intn(50))*time.Millisecond)
+			}
+		})
+		if r.Bool(0.1) {
+			h.Cancel()
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		schedule(time.Duration(r.Intn(200)) * time.Millisecond)
+	}
+	s.Run()
+	if len(got) < 4000 {
+		t.Fatalf("only %d events ran", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].at < got[i-1].at || (got[i].at == got[i-1].at && got[i].seq < got[i-1].seq) {
+			t.Fatalf("event %d (at %v, seq %d) ran after (at %v, seq %d)",
+				i, got[i].at, got[i].seq, got[i-1].at, got[i-1].seq)
+		}
+	}
+}
+
+// TestSimEventAllocs gates the event loop at one allocation per event:
+// the *item At pushes, with no interface boxing on push or pop.
+func TestSimEventAllocs(t *testing.T) {
+	s := New()
+	fn := func(time.Duration) {}
+	for i := 0; i < 1000; i++ {
+		s.At(time.Duration(i)*time.Second, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+500*time.Millisecond, fn)
+		s.Step()
+	})
+	if allocs > 1 {
+		t.Fatalf("At+Step allocates %.2f times per event; want at most 1", allocs)
+	}
+}
+
 func TestLinkDelayBounds(t *testing.T) {
 	r := stats.NewRNG(1)
 	l := Link{Base: 10 * time.Millisecond, Jitter: time.Millisecond}

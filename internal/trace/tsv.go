@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,8 +20,56 @@ const (
 	connFields = "#fields\tts\tduration\tproto\torig\torig_port\tresp\tresp_port\torig_bytes\tresp_bytes"
 )
 
-func secs(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 6, 64)
+// appendSecs appends d as seconds with six decimals, byte-identical to
+// strconv.AppendFloat(b, d.Seconds(), 'f', 6, 64) but in integer
+// arithmetic. For 0 ≤ d < 1e15 ns, d.Seconds() is within 1.2e-10 s of
+// the exact d/1e9 (one rounding of a value below 2^20), and unless
+// d%1000 == 500 the exact value lies at least 1 ns from the nearest
+// half-microsecond — so the float rounds to the same microsecond as d
+// does, with no tie to break. Ties, negatives and huge values take the
+// float path, which is the definition.
+func appendSecs(b []byte, d time.Duration) []byte {
+	if d < 0 || d >= 1e15 || d%1000 == 500 {
+		return strconv.AppendFloat(b, d.Seconds(), 'f', 6, 64)
+	}
+	us := (int64(d) + 500) / 1000
+	b = strconv.AppendInt(b, us/1e6, 10)
+	frac := us % 1e6
+	var f [7]byte
+	f[0] = '.'
+	for i := 6; i > 0; i-- {
+		f[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(b, f[:]...)
+}
+
+// flushAt is the encoders' batching threshold: lines accumulate in one
+// reused buffer, which goes to the writer whenever it passes this size.
+const flushAt = 32 << 10
+
+// encodeTSV writes header and then each record's line, encoded by
+// appendRec into one reused buffer. A record appendRec rejects aborts
+// the write with an error naming its index; lines before it may
+// already have been written.
+func encodeTSV[R any](w io.Writer, header, stream string, recs []R, appendRec func([]byte, *R) ([]byte, error)) error {
+	b := make([]byte, 0, 2*flushAt)
+	b = append(b, header...)
+	b = append(b, '\n')
+	for i := range recs {
+		var err error
+		if b, err = appendRec(b, &recs[i]); err != nil {
+			return fmt.Errorf("trace: %s record %d: %w", stream, i, err)
+		}
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // maxSecs bounds parsed timestamps (in seconds). It sits safely below
@@ -45,33 +93,67 @@ func parseSecs(s string) (time.Duration, error) {
 	return time.Duration(math.Round(f * float64(time.Second))), nil
 }
 
-// WriteDNS writes DNS records as TSV.
+// WriteDNS writes DNS records as TSV. It rejects, naming the record's
+// index, a record whose line could not be read back as written: a
+// query containing a tab, newline or carriage return (a name decoded
+// from the wire may carry any byte), an invalid client or resolver
+// address, or an invalid or zoned answer address.
 func WriteDNS(w io.Writer, recs []DNSRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, dnsFields); err != nil {
-		return err
+	return encodeTSV(w, dnsFields, "dns", recs, appendDNS)
+}
+
+// appendDNS appends d's TSV line to b, or returns b unchanged and the
+// reason d cannot be encoded.
+func appendDNS(b []byte, d *DNSRecord) ([]byte, error) {
+	if strings.ContainsAny(d.Query, "\t\n\r") {
+		return b, fmt.Errorf("query %q contains a tab, newline or carriage return", d.Query)
 	}
-	for i := range recs {
-		d := &recs[i]
-		answers := make([]string, len(d.Answers))
-		for j, a := range d.Answers {
-			answers[j] = fmt.Sprintf("%s/%s", a.Addr, secs(a.TTL))
-		}
-		ans := strings.Join(answers, ",")
-		if ans == "" {
-			ans = "-"
-		}
-		tc := "F"
-		if d.TC {
-			tc = "T"
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%s\t%d\t%s\n",
-			secs(d.QueryTS), secs(d.TS), d.Client, d.Resolver, d.ID,
-			d.Query, d.QType, d.RCode, ans, d.Retries, tc); err != nil {
-			return err
+	if !d.Client.IsValid() {
+		return b, errors.New("invalid client address")
+	}
+	if !d.Resolver.IsValid() {
+		return b, errors.New("invalid resolver address")
+	}
+	for j := range d.Answers {
+		if a := d.Answers[j].Addr; !a.IsValid() || a.Zone() != "" {
+			return b, fmt.Errorf("answer %d: address %q is invalid or zoned", j, a)
 		}
 	}
-	return bw.Flush()
+	b = appendSecs(b, d.QueryTS)
+	b = append(b, '\t')
+	b = appendSecs(b, d.TS)
+	b = append(b, '\t')
+	b = d.Client.AppendTo(b)
+	b = append(b, '\t')
+	b = d.Resolver.AppendTo(b)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.ID), 10)
+	b = append(b, '\t')
+	b = append(b, d.Query...)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.QType), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.RCode), 10)
+	b = append(b, '\t')
+	if len(d.Answers) == 0 {
+		b = append(b, '-')
+	}
+	for j := range d.Answers {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = d.Answers[j].Addr.AppendTo(b)
+		b = append(b, '/')
+		b = appendSecs(b, d.Answers[j].TTL)
+	}
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(d.Retries), 10)
+	if d.TC {
+		b = append(b, "\tT\n"...)
+	} else {
+		b = append(b, "\tF\n"...)
+	}
+	return b, nil
 }
 
 // parseDNSLine parses one data line of the DNS TSV format. It is the
@@ -86,7 +168,8 @@ func parseDNSLine(lineNo int, line string) (DNSRecord, error) {
 // without materializing per-field strings, the query name is interned
 // through st.names, and the answers land in st's shared arena. Accepted
 // inputs, values, and error text are exactly those of the historical
-// strings.Split parser.
+// strings.Split parser, except that a query containing a carriage
+// return, which WriteDNS cannot write, is rejected.
 func parseDNSLineBytes(lineNo int, line []byte, st *parseState) (DNSRecord, error) {
 	var d DNSRecord
 	st.fields = splitFields(line, st.fields)
@@ -114,6 +197,11 @@ func parseDNSLineBytes(lineNo int, line []byte, st *parseState) (DNSRecord, erro
 		return d, fmt.Errorf("trace: dns line %d id: %w", lineNo, err)
 	}
 	d.ID = uint16(id)
+	// WriteDNS refuses a query with a carriage return; one read here
+	// would not survive the next write.
+	if bytes.IndexByte(f[5], '\r') >= 0 {
+		return d, fmt.Errorf("trace: dns line %d query %q contains a carriage return", lineNo, f[5])
+	}
 	d.Query = st.names.Canonical(f[5])
 	qt, err := parseUintBytes(f[6], 16)
 	if err != nil {
@@ -193,21 +281,39 @@ func ReadDNS(r io.Reader) ([]DNSRecord, error) {
 	return out, sc.Err()
 }
 
-// WriteConns writes connection records as TSV.
+// WriteConns writes connection records as TSV. It rejects, naming the
+// record's index, a record with an invalid orig or resp address.
 func WriteConns(w io.Writer, recs []ConnRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, connFields); err != nil {
-		return err
+	return encodeTSV(w, connFields, "conn", recs, appendConn)
+}
+
+// appendConn appends c's TSV line to b, or returns b unchanged and the
+// reason c cannot be encoded.
+func appendConn(b []byte, c *ConnRecord) ([]byte, error) {
+	if !c.Orig.IsValid() {
+		return b, errors.New("invalid orig address")
 	}
-	for i := range recs {
-		c := &recs[i]
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\n",
-			secs(c.TS), secs(c.Duration), c.Proto, c.Orig, c.OrigPort,
-			c.Resp, c.RespPort, c.OrigBytes, c.RespBytes); err != nil {
-			return err
-		}
+	if !c.Resp.IsValid() {
+		return b, errors.New("invalid resp address")
 	}
-	return bw.Flush()
+	b = appendSecs(b, c.TS)
+	b = append(b, '\t')
+	b = appendSecs(b, c.Duration)
+	b = append(b, '\t')
+	b = append(b, c.Proto.String()...)
+	b = append(b, '\t')
+	b = c.Orig.AppendTo(b)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(c.OrigPort), 10)
+	b = append(b, '\t')
+	b = c.Resp.AppendTo(b)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(c.RespPort), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, c.OrigBytes, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, c.RespBytes, 10)
+	return append(b, '\n'), nil
 }
 
 // parseConnLine parses one data line of the connection TSV format. It
