@@ -21,9 +21,10 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadConnsJSON \
 	./internal/trace:FuzzWriteDNS \
 	./internal/trace:FuzzWriteConns \
-	./internal/bulk:FuzzFeed
+	./internal/bulk:FuzzFeed \
+	./internal/core:FuzzReadShardFile
 
-.PHONY: check vet build test race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
+.PHONY: loc check vet build test race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
 
 check: vet build race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos
 
@@ -106,6 +107,14 @@ fuzz:
 		echo "--- fuzz $$pkg $$t ($(FUZZTIME))"; \
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+
+# Non-test Go code lines per package directory, not counting blank lines
+# and lines holding only a // comment, plus the total: the net LOC delta
+# each change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | \
+		xargs awk '!/^[[:space:]]*(\/\/|$$)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 # Aggregate statement coverage across all packages.
 cover:

@@ -31,7 +31,7 @@ func allocAnalysis(t *testing.T) *Analysis {
 	return Analyze(ds, opts)
 }
 
-// TestPairAllocFree gates pair's no-candidate and single-candidate
+// TestPairAllocFree gates pairConn's no-candidate and single-candidate
 // paths at exactly zero allocations per call (with warmed scratch).
 func TestPairAllocFree(t *testing.T) {
 	a := allocAnalysis(t)
@@ -49,7 +49,7 @@ func TestPairAllocFree(t *testing.T) {
 	if sh == nil {
 		t.Fatal("no shard with both conns and dns")
 	}
-	idx := a.buildShardIndex(sh.dns)
+	idx := buildShardIndex(a.DS.DNS, a.expiry, sh.dns)
 	rng := stats.NewRNG(a.Opts.Seed + uint64(shardID))
 	scratch := make([]int32, 0, 64)
 
@@ -60,7 +60,7 @@ func TestPairAllocFree(t *testing.T) {
 		t.Fatal("probe address unexpectedly indexed")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dns, cand, s := a.pair(idx, &noMatch, rng, scratch)
+		dns, cand, s := pairConn(a.Opts.Pairing, idx, &noMatch, rng, scratch)
 		scratch = s
 		if dns != -1 || cand != 0 {
 			t.Fatalf("no-candidate pair = (%d, %d)", dns, cand)
@@ -85,7 +85,7 @@ func TestPairAllocFree(t *testing.T) {
 		t.Skip("trace has no single-candidate connection in the probed shard")
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		dns, _, s := a.pair(idx, &single, rng, scratch)
+		dns, _, s := pairConn(a.Opts.Pairing, idx, &single, rng, scratch)
 		scratch = s
 		if dns < 0 {
 			t.Fatal("single-candidate pair found nothing")
@@ -100,7 +100,7 @@ func TestPairAllocFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(20, func() {
 		for _, ci := range conns {
 			conn := &a.DS.Conns[ci]
-			_, _, s := a.pair(idx, conn, rng, scratch)
+			_, _, s := pairConn(a.Opts.Pairing, idx, conn, rng, scratch)
 			scratch = s
 		}
 	})
@@ -109,10 +109,11 @@ func TestPairAllocFree(t *testing.T) {
 	}
 }
 
-// TestClassifyShardAllocBudget gates the classify inner loop: one
-// shard's pair+classify pass may allocate its per-shard index (a small
-// number of maps and one backing array) but nothing per connection.
-func TestClassifyShardAllocBudget(t *testing.T) {
+// TestClassifyClientAllocBudget gates the pairing kernel: one client's
+// pair+classify pass may allocate its per-client index (a small number
+// of maps and one backing array) and its result slices, but nothing per
+// connection.
+func TestClassifyClientAllocBudget(t *testing.T) {
 	a := allocAnalysis(t)
 	// Pick the busiest shard so per-connection costs dominate fixed ones.
 	best, bestConns := -1, 0
@@ -124,15 +125,15 @@ func TestClassifyShardAllocBudget(t *testing.T) {
 	if best < 0 || bestConns < 100 {
 		t.Fatalf("no busy shard (best has %d conns)", bestConns)
 	}
-	var counts [numClasses]int
+	sh := &a.shards[best]
 	perRun := testing.AllocsPerRun(10, func() {
-		a.classifyShard(best, &counts)
+		classifyClient(&a.Opts, best, a.DS.DNS, a.expiry, a.rsym, a.DS.Conns, sh.dns, sh.conns)
 	})
 	// Index construction allocates roughly one bucket-map entry per
 	// distinct answered address plus the backing array; budget that as
 	// 0.5 per connection, far below the old one-plus per connection.
 	if budget := 64 + 0.5*float64(bestConns); perRun > budget {
-		t.Fatalf("classifyShard allocates %.0f per pass over %d conns; budget is %.0f",
+		t.Fatalf("classifyClient allocates %.0f per pass over %d conns; budget is %.0f",
 			perRun, bestConns, budget)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"dnscontext/internal/obs"
 	"dnscontext/internal/parallel"
-	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
 )
 
@@ -55,13 +54,12 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 	ds.SortByTime()
 	sp.SetItems(len(ds.Conns) + len(ds.DNS))
 	a := &Analysis{
-		Opts:       opts,
-		DS:         ds,
-		Paired:     make([]PairedConn, len(ds.Conns)),
-		DNSUsed:    make([]bool, len(ds.DNS)),
-		Thresholds: make(map[string]time.Duration),
-		connTotal:  len(ds.Conns),
-		dnsTotal:   len(ds.DNS),
+		Opts:      opts,
+		DS:        ds,
+		Paired:    make([]PairedConn, len(ds.Conns)),
+		DNSUsed:   make([]bool, len(ds.DNS)),
+		connTotal: len(ds.Conns),
+		dnsTotal:  len(ds.DNS),
 	}
 
 	// Phase overlap: shard building reads only the sorted dataset, while
@@ -91,10 +89,7 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 	}
 	sp.SetItems(len(ds.DNS))
 	sp = tr.StartPhase("thresholds")
-	if err := a.deriveThresholds(ctx); err != nil {
-		<-shardDone
-		return nil, analysisAborted(err)
-	}
+	a.Thresholds, a.thByRsym = deriveThresholds(a.resolvers, int64(a.dnsTotal), &a.Opts)
 	sp.SetItems(len(a.Thresholds))
 	if err := <-shardDone; err != nil {
 		return nil, analysisAborted(err)
@@ -102,12 +97,13 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 
 	sp = tr.StartPhase("classify")
 	sp.SetItems(len(a.Paired))
+	a.clients = make([]clientResult, len(a.shards))
 	counts := make([][numClasses]int, len(a.shards))
 	var ck *ckRun
 	if opts.Checkpoint != nil && opts.Checkpoint.Path != "" {
 		ck = newCkRun(a, opts.Checkpoint)
 		if opts.Checkpoint.Resume {
-			if _, err := ck.restore(counts); err != nil {
+			if err := ck.restore(); err != nil {
 				return nil, analysisAborted(err)
 			}
 		}
@@ -116,15 +112,19 @@ func analyze(ctx context.Context, ds *trace.Dataset, opts Options, prep *sidecar
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "classify"), func(context.Context) {
 		err = parallel.ForEach(ctx, opts.Workers, len(a.shards), func(s int) error {
 			if ck != nil && ck.isRestored(s) {
+				counts[s] = a.fillPaired(s)
 				return nil
 			}
 			var t0 time.Time
 			if tr != nil {
 				t0 = time.Now()
 			}
-			a.classifyShard(s, &counts[s])
+			sh := &a.shards[s]
+			a.clients[s] = clientResult{client: sh.client, nDNS: int32(len(sh.dns)),
+				entries: classifyClient(&a.Opts, s, a.DS.DNS, a.expiry, a.rsym, a.DS.Conns, sh.dns, sh.conns)}
+			counts[s] = a.fillPaired(s)
 			if tr != nil {
-				tr.ShardDone(len(a.shards[s].conns), time.Since(t0))
+				tr.ShardDone(len(sh.conns), time.Since(t0))
 			}
 			if ck != nil {
 				return ck.complete(s)
@@ -170,60 +170,34 @@ func analysisAborted(err error) error {
 	return fmt.Errorf("dnscontext: analysis aborted: %w", err)
 }
 
-// classifyShard pairs and classifies one client's connections. Within a
-// shard, connections are processed in start-time order so "first use of
-// a lookup" stays well defined; across shards there is nothing to order,
-// because a DNS record can only pair with its own client's connections.
-func (a *Analysis) classifyShard(shardID int, counts *[numClasses]int) {
-	sh := &a.shards[shardID]
-	if len(sh.conns) == 0 {
-		return
-	}
-	idx := a.buildShardIndex(sh.dns)
-	rng := stats.NewRNG(a.Opts.Seed + uint64(shardID))
-
-	// Tally into a local array and publish once at the end: the shared
-	// counts slice packs adjacent shards' slots into the same cache
-	// lines, and per-connection writes from concurrent workers would
-	// false-share them.
-	var local [numClasses]int
-	// fresh is the pairing scan's scratch, reused across the shard's
-	// connections so steady-state pairing allocates nothing.
-	var fresh []int32
-
-	for _, ci := range sh.conns {
-		conn := &a.DS.Conns[ci]
+// fillPaired expands shard s's pairing facts into the dataset-indexed
+// Paired and DNSUsed slots it owns, classifying each connection with
+// entryClass, and returns the shard's per-class tally. Computed and
+// checkpoint-restored shards both pass through here. The tally is
+// returned rather than accumulated in place: adjacent shards' slots of
+// a shared counts slice share cache lines, and per-connection writes
+// from concurrent workers would false-share them.
+func (a *Analysis) fillPaired(s int) (counts [numClasses]int) {
+	sh := &a.shards[s]
+	entries := a.clients[s].entries
+	for j := range entries {
+		e := &entries[j]
+		ci := sh.conns[j]
+		class := entryClass(e, &a.Opts, a.thByRsym)
+		counts[class]++
 		pc := &a.Paired[ci]
-		pc.Conn = int(ci)
-		pc.DNS, pc.Candidates, fresh = a.pair(idx, conn, rng, fresh)
-		if pc.DNS < 0 {
-			pc.Class = ClassN
-			local[ClassN]++
+		pc.Conn, pc.DNS, pc.Class = int(ci), -1, class
+		if e.localDNS < 0 {
 			continue
 		}
-		d := &a.DS.DNS[pc.DNS]
-		pc.Gap = conn.TS - d.TS
-		pc.FirstUse = !a.DNSUsed[pc.DNS]
+		pc.DNS = int(sh.dns[e.localDNS])
+		pc.Gap = e.gap
+		pc.Candidates = int(e.candidates)
+		pc.FirstUse = e.firstUse
+		pc.UsedExpired = e.usedExpired
 		a.DNSUsed[pc.DNS] = true
-		pc.UsedExpired = conn.TS >= a.expiry[pc.DNS]
-
-		if pc.Gap > a.Opts.BlockThreshold {
-			// Record was on hand: local cache or prefetch.
-			if pc.FirstUse {
-				pc.Class = ClassP
-			} else {
-				pc.Class = ClassLC
-			}
-		} else if d.Duration() <= a.thByRsym[a.rsym[pc.DNS]] {
-			// Blocked on the lookup: shared cache vs full resolution,
-			// decided by the per-resolver duration threshold.
-			pc.Class = ClassSC
-		} else {
-			pc.Class = ClassR
-		}
-		local[pc.Class]++
 	}
-	*counts = local
+	return counts
 }
 
 // Table2Row is one line of Table 2.

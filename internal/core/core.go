@@ -220,21 +220,23 @@ type Analysis struct {
 	qsym   []trace.Sym        // per DNS record: query-name symbol
 	rsym   []int32            // per DNS record: resolver symbol
 	expiry []time.Duration    // per DNS record: precomputed ExpiresAt()
-	// resolverAddrs maps resolver symbols back to addresses
-	// (first-appearance order); resCounts/resMins are each resolver's
-	// lookup count and minimum duration, fused into the symbol pass so
-	// deriveThresholds makes no pass of its own; thByRsym is Thresholds
-	// as a dense slice.
-	resolverAddrs []netip.Addr
-	resCounts     []int
-	resMins       []time.Duration
-	thByRsym      []time.Duration
+	// resolvers maps resolver symbols back to addresses
+	// (first-appearance order) with each resolver's lookup count and
+	// minimum duration, fused into the symbol pass so the threshold
+	// derivation makes no pass of its own; thByRsym is each resolver's
+	// SC/R threshold, indexed by symbol.
+	resolvers []resolverStat
+	thByRsym  []time.Duration
 	// shards partitions the dataset by originating client in
 	// first-appearance order. Clients are houses (the monitor sees one
 	// NAT'd address per residence), so the shards also drive the
 	// per-house what-if simulations. Shard IDs seed the per-shard RNG
 	// streams, which is why the order must be deterministic.
 	shards []clientShard
+	// clients holds each shard's pairing facts (indexed like shards):
+	// the one per-connection representation every view derives from —
+	// Paired and DNSUsed, Digest, Shard, and checkpoint snapshots.
+	clients []clientResult
 	// refreshOnce guards authTTL/window, the lazily derived inputs shared
 	// by every refresh-policy simulation (possibly running concurrently).
 	// authTTL is indexed by query-name symbol.
@@ -258,7 +260,7 @@ type Analysis struct {
 	// digestOnce guards digest, the order-independent FNV fold over
 	// every per-connection outcome (see shard.go). For a summary
 	// analysis it is set during the reduce; for a full analysis it is
-	// derived on demand from Paired.
+	// folded on demand from clients.
 	digestOnce sync.Once
 	digest     uint64
 }
@@ -306,7 +308,7 @@ func (a *Analysis) buildSymbols(ctx context.Context) error {
 // its connection scan.
 func (a *Analysis) adoptSidecars(sc *sidecars) {
 	a.names, a.qsym, a.rsym, a.expiry = sc.names, sc.qsym, sc.rsym, sc.expiry
-	a.resolverAddrs, a.resCounts, a.resMins = sc.resolverAddrs, sc.resCounts, sc.resMins
+	a.resolvers = sc.resolvers
 }
 
 // buildShards partitions the (time-sorted) dataset by client. Pairing

@@ -69,30 +69,40 @@ func (a *Analysis) Failures() FailureStats {
 		func(ci int) (FailureStats, error) {
 			var fs FailureStats
 			for i := chunks[ci].Lo; i < chunks[ci].Hi; i++ {
-				d := &a.DS.DNS[i]
-				fs.Lookups++
-				if failureRecord(d) {
-					fs.ServFails++
-				}
-				if d.Retries > 0 {
-					fs.Retried++
-					fs.TotalRetries += int(d.Retries)
-				}
-				if d.TC {
-					fs.TCPFallbacks++
-				}
+				fs.observe(&a.DS.DNS[i])
 			}
 			return fs, nil
 		})
 	var total FailureStats
 	for _, p := range parts {
-		total.Lookups += p.Lookups
-		total.ServFails += p.ServFails
-		total.Retried += p.Retried
-		total.TotalRetries += p.TotalRetries
-		total.TCPFallbacks += p.TCPFallbacks
+		total.add(p)
 	}
 	return total
+}
+
+// observe tallies one DNS transaction.
+func (f *FailureStats) observe(d *trace.DNSRecord) {
+	f.Lookups++
+	if failureRecord(d) {
+		f.ServFails++
+	}
+	if d.Retries > 0 {
+		f.Retried++
+		f.TotalRetries += int(d.Retries)
+	}
+	if d.TC {
+		f.TCPFallbacks++
+	}
+}
+
+// add folds another tally into f; tallies sum, so any grouping of the
+// same records gives the same total.
+func (f *FailureStats) add(o FailureStats) {
+	f.Lookups += o.Lookups
+	f.ServFails += o.ServFails
+	f.Retried += o.Retried
+	f.TotalRetries += o.TotalRetries
+	f.TCPFallbacks += o.TCPFallbacks
 }
 
 // HasFailures reports whether the dataset shows any fault-path activity

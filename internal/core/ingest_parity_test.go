@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +54,7 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 		opts.Pairing = pairing
 		opts.SCRMinSamples = 50
 		ref := analyzeCopy(&trace.Dataset{DNS: parsedDNS, Conns: parsedConns}, opts)
-		wantReport, wantPaired, wantCheckpoint := hashAnalysis(t, ref, eco.Profiles)
+		wantReport, wantPaired, wantShard := hashAnalysis(t, ref, eco.Profiles)
 
 		for _, workers := range []int{1, 2, 8} {
 			for _, ingest := range []int{-1, 2, 8} {
@@ -69,10 +71,10 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 					t.Fatalf("pairing=%v workers=%d ingest=%d: unbudgeted scanner source returned a summary analysis",
 						pairing, workers, ingest)
 				}
-				report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
-				if report != wantReport || paired != wantPaired || checkpoint != wantCheckpoint {
+				report, paired, shard := hashAnalysis(t, a, eco.Profiles)
+				if report != wantReport || paired != wantPaired || shard != wantShard {
 					t.Errorf("pairing=%v workers=%d ingest=%d: hashes (%#016x %#016x %#016x), want (%#016x %#016x %#016x)",
-						pairing, workers, ingest, report, paired, checkpoint, wantReport, wantPaired, wantCheckpoint)
+						pairing, workers, ingest, report, paired, shard, wantReport, wantPaired, wantShard)
 				}
 				if a.Digest() != ref.Digest() {
 					t.Errorf("pairing=%v workers=%d ingest=%d: digest %#016x, want %#016x",
@@ -83,58 +85,73 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 	}
 }
 
+// serialSidecars is the straightforward single-pass sidecar build the
+// chunked build must reproduce.
+func serialSidecars(dns []trace.DNSRecord) *sidecars {
+	sc := &sidecars{
+		names:  trace.NewSymbolTable(),
+		qsym:   make([]trace.Sym, len(dns)),
+		rsym:   make([]int32, len(dns)),
+		expiry: make([]time.Duration, len(dns)),
+	}
+	rsyms := make(map[netip.Addr]int32)
+	for i := range dns {
+		d := &dns[i]
+		sc.qsym[i] = sc.names.Intern(d.Query)
+		sc.expiry[i] = d.ExpiresAt()
+		rs, ok := rsyms[d.Resolver]
+		if !ok {
+			rs = int32(len(sc.resolvers))
+			rsyms[d.Resolver] = rs
+			sc.resolvers = append(sc.resolvers, resolverStat{addr: d.Resolver})
+		}
+		sc.rsym[i] = rs
+		st := &sc.resolvers[rs]
+		if st.lookups == 0 || d.Duration() < st.minDur {
+			st.minDur = d.Duration()
+		}
+		st.lookups++
+	}
+	return sc
+}
+
 // TestParallelSymbolRemapDeterminism pins the chunk-local-to-global
-// symbol remap directly: buildSidecars must hand back the same tables,
-// numbering, and fused resolver stats at every worker count, including
-// widths that force many small chunks.
+// symbol remap directly: the chunked sidecar build must hand back the
+// serial pass's tables, numbering, and fused resolver stats at every
+// chunk count, including the adopted single chunk and widths that force
+// many small chunks.
 func TestParallelSymbolRemapDeterminism(t *testing.T) {
 	ds := determinismTrace(t)
 	ds.SortByTime()
 	if len(ds.DNS) < 100 {
 		t.Fatalf("trace too small: %d DNS records", len(ds.DNS))
 	}
-	ref, err := buildSidecars(context.Background(), 1, ds.DNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		// Drop the size floor out of the way by calling the parallel
-		// build directly.
-		got := &sidecars{
-			names:  trace.NewSymbolTable(),
-			qsym:   make([]trace.Sym, len(ds.DNS)),
-			rsym:   make([]int32, len(ds.DNS)),
-			expiry: make([]time.Duration, len(ds.DNS)),
-		}
-		if err := got.buildParallel(context.Background(), workers, ds.DNS); err != nil {
+	ref := serialSidecars(ds.DNS)
+	for _, parts := range []int{1, 2, 3, 8} {
+		// Call the chunked build directly to get past the size floor
+		// buildSidecars applies.
+		got, err := buildSidecarChunks(context.Background(), parts, ds.DNS)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got.names.Len() != ref.names.Len() {
-			t.Fatalf("workers=%d: %d names, want %d", workers, got.names.Len(), ref.names.Len())
+			t.Fatalf("parts=%d: %d names, want %d", parts, got.names.Len(), ref.names.Len())
 		}
 		for s := 0; s < ref.names.Len(); s++ {
 			if got.names.Name(trace.Sym(s)) != ref.names.Name(trace.Sym(s)) {
-				t.Fatalf("workers=%d: symbol %d = %q, want %q",
-					workers, s, got.names.Name(trace.Sym(s)), ref.names.Name(trace.Sym(s)))
+				t.Fatalf("parts=%d: symbol %d = %q, want %q",
+					parts, s, got.names.Name(trace.Sym(s)), ref.names.Name(trace.Sym(s)))
 			}
 		}
 		for i := range ref.qsym {
 			if got.qsym[i] != ref.qsym[i] || got.rsym[i] != ref.rsym[i] || got.expiry[i] != ref.expiry[i] {
-				t.Fatalf("workers=%d: record %d sidecar (%d %d %v), want (%d %d %v)",
-					workers, i, got.qsym[i], got.rsym[i], got.expiry[i],
+				t.Fatalf("parts=%d: record %d sidecar (%d %d %v), want (%d %d %v)",
+					parts, i, got.qsym[i], got.rsym[i], got.expiry[i],
 					ref.qsym[i], ref.rsym[i], ref.expiry[i])
 			}
 		}
-		if len(got.resolverAddrs) != len(ref.resolverAddrs) {
-			t.Fatalf("workers=%d: %d resolvers, want %d", workers, len(got.resolverAddrs), len(ref.resolverAddrs))
-		}
-		for rs := range ref.resolverAddrs {
-			if got.resolverAddrs[rs] != ref.resolverAddrs[rs] ||
-				got.resCounts[rs] != ref.resCounts[rs] || got.resMins[rs] != ref.resMins[rs] {
-				t.Fatalf("workers=%d: resolver %d (%v n=%d min=%v), want (%v n=%d min=%v)",
-					workers, rs, got.resolverAddrs[rs], got.resCounts[rs], got.resMins[rs],
-					ref.resolverAddrs[rs], ref.resCounts[rs], ref.resMins[rs])
-			}
+		if !reflect.DeepEqual(got.resolvers, ref.resolvers) {
+			t.Fatalf("parts=%d: resolvers %v, want %v", parts, got.resolvers, ref.resolvers)
 		}
 	}
 }

@@ -11,38 +11,38 @@ import (
 
 // pairEnt is one candidate in a shard index bucket: the DNS record's
 // completion time and precomputed TTL expiry carried inline next to its
-// dataset index. The pairing scan — binary search plus backward expiry
-// sweep — reads only these entries, walking one contiguous bucket
-// instead of chasing pointers into the (much larger, scattered) record
-// array.
+// client-local index. The pairing scan — binary search plus backward
+// expiry sweep — reads only these entries, walking one contiguous
+// bucket instead of chasing pointers into the (much larger, scattered)
+// record array.
 type pairEnt struct {
 	ts     time.Duration
 	expiry time.Duration
 	idx    int32
 }
 
-// shardIndex is the DN-Hunter lookup structure for one client shard: it
-// maps each answered address to the shard's DNS records (ascending by
+// shardIndex is the DN-Hunter lookup structure for one client: it maps
+// each answered address to the client's DNS records (ascending by
 // completion time) whose answers contain it. The client is implicit —
-// every record in a shard shares one — which is exactly what lets the
+// every record in the index shares one — which is exactly what lets the
 // pipeline shard the trace with no cross-shard pairing candidates.
 type shardIndex map[netip.Addr][]pairEnt
 
-// buildShardIndex constructs the lookup structure over one shard's DNS
-// records (indices into ds.DNS, ascending). The dataset must be
-// time-sorted.
+// buildShardIndex constructs the lookup structure over one client's DNS
+// records dns[dnsIdx[0]], dns[dnsIdx[1]], ... (time order). Entries carry
+// the record's position within dnsIdx, its client-local index.
 //
 // A counting pre-pass sizes every bucket exactly: all buckets are
 // carved out of one shared backing slice, so the fill pass appends
 // within capacity and the grow-by-append reallocation churn of the
 // naive construction disappears.
-func (a *Analysis) buildShardIndex(dns []int32) shardIndex {
+func buildShardIndex(dns []trace.DNSRecord, expiry []time.Duration, dnsIdx []int32) shardIndex {
 	total := 0
 	// Distinct answered addresses are bounded by (and usually close to)
-	// the shard's record count.
-	counts := make(map[netip.Addr]int32, len(dns))
-	for _, i := range dns {
-		for _, ans := range a.DS.DNS[i].Answers {
+	// the client's record count.
+	counts := make(map[netip.Addr]int32, len(dnsIdx))
+	for _, i := range dnsIdx {
+		for _, ans := range dns[i].Answers {
 			counts[ans.Addr]++
 			total++
 		}
@@ -51,12 +51,12 @@ func (a *Analysis) buildShardIndex(dns []int32) shardIndex {
 	idx := make(shardIndex, len(counts))
 	off := int32(0)
 	for addr, c := range counts {
-		idx[addr] = backing[off:off : off+c]
+		idx[addr] = backing[off : off : off+c]
 		off += c
 	}
-	for _, i := range dns {
-		d := &a.DS.DNS[i]
-		ent := pairEnt{ts: d.TS, expiry: a.expiry[i], idx: i}
+	for l, i := range dnsIdx {
+		d := &dns[i]
+		ent := pairEnt{ts: d.TS, expiry: expiry[i], idx: int32(l)}
 		for _, ans := range d.Answers {
 			idx[ans.Addr] = append(idx[ans.Addr], ent)
 		}
@@ -64,28 +64,69 @@ func (a *Analysis) buildShardIndex(dns []int32) shardIndex {
 	return idx
 }
 
-// pair finds the DN-Hunter pairing for one connection: the most recent
-// non-expired DNS lookup by the connection's originator whose answers
-// contain the destination address; if every candidate is expired, the most
-// recent one. It also reports the number of non-expired candidates (the
-// §4 ambiguity measure).
+// classifyClient is the pairing kernel both pipelines run: it pairs one
+// client's connections conns[connIdx[j]] (start-time order) with the
+// client's lookups dns[dnsIdx[k]] (completion-time order) and returns one
+// entry of pairing facts per connection, with client-local lookup
+// indices. expiry and rsym are per-record sidecars indexed like dns: the
+// precomputed TTL expiry and the resolver symbol the entry's res field
+// carries.
 //
-// rng is only consulted under PairRandom, which picks uniformly among the
-// non-expired candidates.
-//
-// scratch is the caller-owned backing for the fresh-candidate scan; the
-// (possibly grown) scratch is returned for reuse, so a shard's pairing
-// loop settles into zero allocations per connection.
-func (a *Analysis) pair(idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (dnsIdx int, candidates int, _ []int32) {
-	return pairConn(a.Opts.Pairing, idx, conn, rng, scratch)
+// The in-memory pipeline passes the whole dataset with a shard's index
+// lists; the out-of-core pipeline passes a client's own record slices
+// with identity indices. rank is the client's shard rank and seeds the
+// PairRandom RNG stream, so both pipelines draw the same numbers in the
+// same order. Within a client, connections are processed in start-time
+// order so "first use of a lookup" stays well defined; across clients
+// there is nothing to order, because a lookup only pairs with its own
+// client's connections.
+func classifyClient(opts *Options, rank int, dns []trace.DNSRecord, expiry []time.Duration, rsym []int32,
+	conns []trace.ConnRecord, dnsIdx, connIdx []int32) []connEntry {
+	if len(connIdx) == 0 {
+		return nil
+	}
+	idx := buildShardIndex(dns, expiry, dnsIdx)
+	rng := stats.NewRNG(opts.Seed + uint64(rank))
+	used := make([]bool, len(dnsIdx))
+	// fresh is the pairing scan's scratch, reused across the client's
+	// connections so steady-state pairing allocates nothing.
+	var fresh []int32
+	entries := make([]connEntry, len(connIdx))
+	for j, ci := range connIdx {
+		conn := &conns[ci]
+		e := &entries[j]
+		var l, cand int
+		l, cand, fresh = pairConn(opts.Pairing, idx, conn, rng, fresh)
+		if l < 0 {
+			e.localDNS, e.res = -1, -1
+			continue
+		}
+		di := dnsIdx[l]
+		d := &dns[di]
+		e.localDNS = int32(l)
+		e.gap = conn.TS - d.TS
+		e.candidates = int32(cand)
+		e.firstUse = !used[l]
+		used[l] = true
+		e.usedExpired = conn.TS >= expiry[di]
+		e.lookupDur = d.Duration()
+		e.res = rsym[di]
+	}
+	return entries
 }
 
-// pairConn is the policy-parameterized pairing scan shared by the
-// in-memory pipeline (where pairEnt.idx indexes the whole dataset) and
-// the streaming per-client classifier (where it indexes the client's
-// own record list). Sharing the scan — binary search, backward expiry
-// sweep, tie-breaking, RNG draw order — is what makes the two paths
-// bit-identical rather than merely similar.
+// pairConn finds the DN-Hunter pairing for one connection: the most
+// recent non-expired lookup in idx whose answers contain the
+// destination address; if every candidate is expired, the most recent
+// one. It also reports the number of non-expired candidates (the §4
+// ambiguity measure). The result is a client-local index, or -1.
+//
+// rng is only consulted under PairRandom, which picks uniformly among
+// the non-expired candidates.
+//
+// scratch is the caller-owned backing for the fresh-candidate scan; the
+// (possibly grown) scratch is returned for reuse, so a client's pairing
+// loop settles into zero allocations per connection.
 func pairConn(policy PairingPolicy, idx shardIndex, conn *trace.ConnRecord, rng *stats.RNG, scratch []int32) (dnsIdx int, candidates int, _ []int32) {
 	recs := idx[conn.Resp]
 	if len(recs) == 0 {

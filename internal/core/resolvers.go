@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"net/netip"
 	"time"
 
-	"dnscontext/internal/parallel"
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
 )
@@ -22,55 +20,41 @@ const ConnectivityCheckHost = "connectivitycheck.gstatic.com"
 // threshold, i.e. roughly 2.5x the minimum; we round 2.5x the minimum up
 // to the next millisecond.
 //
-// The per-resolver lookup counts and minimum durations were already
-// accumulated during the symbol pass (Analysis.resCounts/resMins — no
-// second walk of the records, no per-resolver duration slices, no
-// address-to-string conversions); the per-resolver threshold
-// computations run on the worker pool, and results land in a
-// deterministically ordered slice before the map is filled, keeping the
-// outcome identical for every worker count.
-func (a *Analysis) deriveThresholds(ctx context.Context) error {
-	nRes := len(a.resolverAddrs)
-	counts, mins := a.resCounts, a.resMins
+// Its input is the associative per-resolver (count, minimum) summary —
+// accumulated during the in-memory symbol pass, the streaming ingest, or
+// a shard merge — so every pipeline derives thresholds with this one
+// rule. It returns the thresholds of the gated resolvers by address and
+// every resolver's threshold indexed like res.
+func deriveThresholds(res []resolverStat, dnsTotal int64, opts *Options) (map[string]time.Duration, []time.Duration) {
 	// The paper's gate — 1,000 lookups out of 9.2M (~0.011%) — scales
 	// with trace size so shorter captures don't push moderately popular
 	// resolvers onto the 5 ms default; Opts.SCRMinSamples caps it.
-	gate := len(a.DS.DNS) / 9200
+	gate := dnsTotal / 9200
 	if gate < 50 {
 		gate = 50
 	}
-	if gate > a.Opts.SCRMinSamples {
-		gate = a.Opts.SCRMinSamples
+	if gate > int64(opts.SCRMinSamples) {
+		gate = int64(opts.SCRMinSamples)
 	}
-	popular := make([]int32, 0, nRes)
-	for rs := 0; rs < nRes; rs++ {
-		if counts[rs] >= gate {
-			popular = append(popular, int32(rs))
+	thresholds := make(map[string]time.Duration)
+	thByRes := make([]time.Duration, len(res))
+	for i := range res {
+		rs := &res[i]
+		thByRes[i] = opts.DefaultSCThreshold
+		if rs.lookups < gate {
+			continue
 		}
-	}
-
-	a.thByRsym = make([]time.Duration, nRes)
-	for rs := range a.thByRsym {
-		a.thByRsym[rs] = a.Opts.DefaultSCThreshold
-	}
-	ths, err := parallel.Map(ctx, a.Opts.Workers, len(popular), func(i int) (time.Duration, error) {
-		th := time.Duration(float64(mins[popular[i]]) * 2.5)
+		th := time.Duration(float64(rs.minDur) * 2.5)
 		// Round up to a whole millisecond, mirroring the paper's "small
 		// amount of rounding".
 		th = ((th + time.Millisecond - 1) / time.Millisecond) * time.Millisecond
-		if th < a.Opts.DefaultSCThreshold {
-			th = a.Opts.DefaultSCThreshold
+		if th < opts.DefaultSCThreshold {
+			th = opts.DefaultSCThreshold
 		}
-		return th, nil
-	})
-	if err != nil {
-		return err
+		thByRes[i] = th
+		thresholds[rs.addr.String()] = th
 	}
-	for i, rs := range popular {
-		a.thByRsym[rs] = ths[i]
-		a.Thresholds[a.resolverAddrs[rs].String()] = ths[i]
-	}
-	return nil
+	return thresholds, thByRes
 }
 
 func (a *Analysis) thresholdFor(resolver string) time.Duration {

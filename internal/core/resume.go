@@ -1,39 +1,39 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"io/fs"
-	"sort"
+	"net/netip"
 	"sync"
-	"time"
 
 	"dnscontext/internal/checkpoint"
 	"dnscontext/internal/obs"
 )
 
-// Checkpoint/resume for the analysis pipeline. The classify phase is
-// the long pole of a large run and its shards are independent, so the
-// unit of progress is one completed shard: every Interval completions
-// the analyzer snapshots all completed shard states (paired
-// connections, used-DNS marks, per-class tallies — everything
-// classifyShard writes) to disk via internal/checkpoint. A resumed run
-// replays the snapshot into the same slots and classifies only the
-// remaining shards; because shards share no state and each carries its
-// own RNG stream, the resumed result is bit-identical to an
-// uninterrupted run at any worker count.
+// Checkpoint/resume for the analysis pipeline. The classify phase's
+// shards are independent, so the unit of progress is one completed
+// client: every Interval completions the analyzer snapshots the clients
+// classified so far to disk via internal/checkpoint. A snapshot is the
+// dataset fingerprint followed by a partial AnalysisShard in the shard
+// file encoding — the same pairing facts, options block, and decoder
+// that WriteShardFile and Merge use. A resumed run decodes the snapshot
+// into the same per-client slots and classifies only the remaining
+// shards; because shards share no state and each carries its own RNG
+// stream, the resumed result is bit-identical to an uninterrupted run
+// at any worker count.
 //
 // A snapshot is only valid against the dataset and options that
-// produced it, so the payload carries a fingerprint of both; loading a
-// snapshot against anything else is an error, never a silent wrong
-// answer.
+// produced it: the fingerprint pins the dataset and the encoding's
+// options block pins the options, so loading a snapshot against
+// anything else is an error, never a silent wrong answer.
 
 // ckVersion is the on-disk format version of analyzer checkpoints.
-const ckVersion = 1
+// Version 1 stored bespoke per-shard blobs; version 2 stores a partial
+// shard.
+const ckVersion = 2
 
 // defaultCkInterval is the number of completed shards between
 // snapshots.
@@ -68,8 +68,8 @@ type ckRun struct {
 	cfg *Checkpoint
 
 	mu        sync.Mutex
-	blobs     map[int][]byte // shardID → encoded shard state
-	restored  map[int]bool   // shards loaded from the snapshot
+	done      []int        // completed shard IDs, restored ones included
+	restored  map[int]bool // shards loaded from the snapshot
 	sinceSave int
 
 	writesC   *obs.Counter
@@ -77,12 +77,7 @@ type ckRun struct {
 }
 
 func newCkRun(a *Analysis, cfg *Checkpoint) *ckRun {
-	ck := &ckRun{
-		a:        a,
-		cfg:      cfg,
-		blobs:    make(map[int][]byte),
-		restored: make(map[int]bool),
-	}
+	ck := &ckRun{a: a, cfg: cfg, restored: make(map[int]bool)}
 	if reg := a.Opts.Metrics; reg != nil {
 		ck.writesC = reg.Counter("dnsctx_checkpoint_writes_total",
 			"Analyzer snapshots persisted to disk.")
@@ -106,12 +101,12 @@ func (ck *ckRun) isRestored(s int) bool {
 }
 
 // complete records shard s as classified and persists a snapshot every
-// Interval completions. Called concurrently from the worker pool.
+// Interval completions. Called concurrently from the worker pool, after
+// the caller filled a.clients[s].
 func (ck *ckRun) complete(s int) error {
-	blob := ck.a.encodeShard(s)
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.blobs[s] = blob
+	ck.done = append(ck.done, s)
 	ck.sinceSave++
 	if ck.sinceSave < ck.interval() {
 		return nil
@@ -122,176 +117,86 @@ func (ck *ckRun) complete(s int) error {
 	ck.sinceSave = 0
 	ck.writesC.Inc()
 	if ck.cfg.OnSnapshot != nil {
-		ck.cfg.OnSnapshot(len(ck.blobs))
+		ck.cfg.OnSnapshot(len(ck.done))
 	}
 	return nil
 }
 
-// save persists every completed shard. Caller holds ck.mu.
+// save persists every completed client as a partial shard: its totals
+// cover those clients, its resolver table is the whole run's. Caller
+// holds ck.mu.
 func (ck *ckRun) save() error {
-	var buf bytes.Buffer
-	putU64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	putU32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	putU64(ck.a.fingerprint())
-	putU64(ck.a.optsKey())
-	putU32(uint32(len(ck.a.shards)))
-	putU32(uint32(len(ck.blobs)))
-	ids := make([]int, 0, len(ck.blobs))
-	for id := range ck.blobs {
-		ids = append(ids, id)
+	a := ck.a
+	part := &AnalysisShard{opts: a.Opts, resolvers: a.resolvers, clients: make([]clientResult, len(ck.done))}
+	for i, s := range ck.done {
+		c := a.clients[s]
+		part.clients[i] = c
+		part.dnsTotal += int64(c.nDNS)
+		part.connTotal += int64(len(c.entries))
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		putU32(uint32(id))
-		putU32(uint32(len(ck.blobs[id])))
-		buf.Write(ck.blobs[id])
-	}
-	return checkpoint.Save(ck.cfg.Path, ckVersion, buf.Bytes())
+	payload := binary.LittleEndian.AppendUint64(nil, a.fingerprint())
+	return checkpoint.Save(ck.cfg.Path, ckVersion, append(payload, part.encode()...))
 }
 
-// restore loads the snapshot at Path (if any) and replays its shards
-// into the analysis, filling counts for each. Returns the restored
-// shard IDs' count.
-func (ck *ckRun) restore(counts [][numClasses]int) (int, error) {
+// restore loads the snapshot at Path (if any) into the per-client slots
+// of the shards it covers. Restored entries then take the same Paired
+// fill as computed ones.
+func (ck *ckRun) restore() error {
 	payload, err := checkpoint.Load(ck.cfg.Path, ckVersion)
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+		return nil
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
-	r := bytes.NewReader(payload)
-	var fp, key uint64
-	var numShards, nDone uint32
-	if err := readLE(r, &fp, &key, &numShards, &nDone); err != nil {
-		return 0, fmt.Errorf("checkpoint: truncated snapshot header: %w", err)
+	a := ck.a
+	if len(payload) < 8 {
+		return fmt.Errorf("checkpoint: snapshot too short for its fingerprint: %w", checkpoint.ErrCorrupt)
 	}
-	if fp != ck.a.fingerprint() {
-		return 0, fmt.Errorf("%w: dataset fingerprint %016x, snapshot has %016x",
-			ErrCheckpointMismatch, ck.a.fingerprint(), fp)
+	if fp := binary.LittleEndian.Uint64(payload); fp != a.fingerprint() {
+		return fmt.Errorf("%w: dataset fingerprint %016x, snapshot has %016x",
+			ErrCheckpointMismatch, a.fingerprint(), fp)
 	}
-	if key != ck.a.optsKey() {
-		return 0, fmt.Errorf("%w: analysis options changed since the snapshot",
-			ErrCheckpointMismatch)
+	part, err := decodeShardPayload(payload[8:])
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if int(numShards) != len(ck.a.shards) {
-		return 0, fmt.Errorf("%w: %d shards, snapshot has %d",
-			ErrCheckpointMismatch, len(ck.a.shards), numShards)
+	if !sameResultOptions(&part.opts, &a.Opts) {
+		return fmt.Errorf("%w: analysis options changed since the snapshot", ErrCheckpointMismatch)
 	}
-	for i := 0; i < int(nDone); i++ {
-		var id, n uint32
-		if err := readLE(r, &id, &n); err != nil {
-			return 0, fmt.Errorf("checkpoint: truncated shard entry: %w", err)
+	// The encoding numbers resolvers in address order; map them back to
+	// this run's symbols.
+	rsym := make(map[netip.Addr]int32, len(a.resolvers))
+	for i := range a.resolvers {
+		rsym[a.resolvers[i].addr] = int32(i)
+	}
+	remap := make([]int32, len(part.resolvers))
+	for i := range part.resolvers {
+		p, ok := rsym[part.resolvers[i].addr]
+		if !ok {
+			return fmt.Errorf("%w: snapshot resolver %s not in the dataset", ErrCheckpointMismatch, part.resolvers[i].addr)
 		}
-		if int(id) >= len(ck.a.shards) {
-			return 0, fmt.Errorf("checkpoint: shard id %d out of range", id)
-		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return 0, fmt.Errorf("checkpoint: truncated shard blob: %w", err)
-		}
-		if err := ck.a.decodeShard(int(id), blob, &counts[id]); err != nil {
-			return 0, err
-		}
-		ck.blobs[int(id)] = blob
-		ck.restored[int(id)] = true
+		remap[i] = p
 	}
-	ck.restoredC.Add(uint64(nDone))
-	return int(nDone), nil
-}
-
-func readLE(r *bytes.Reader, vs ...any) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
+	slot := make(map[netip.Addr]int, len(a.shards))
+	for s := range a.shards {
+		slot[a.shards[s].client] = s
+	}
+	for _, c := range part.clients {
+		s, ok := slot[c.client]
+		if !ok || int(c.nDNS) != len(a.shards[s].dns) || len(c.entries) != len(a.shards[s].conns) {
+			return fmt.Errorf("%w: snapshot client %s does not match its shard", ErrCheckpointMismatch, c.client)
 		}
-	}
-	return nil
-}
-
-// encodeShard serializes everything classifyShard wrote for shard s:
-// the paired-connection entries (in sh.conns order, so the connection
-// index is implicit) and the shard's used-DNS marks.
-func (a *Analysis) encodeShard(s int) []byte {
-	sh := &a.shards[s]
-	var buf bytes.Buffer
-	put := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	put(uint32(len(sh.conns)))
-	for _, ci := range sh.conns {
-		pc := &a.Paired[ci]
-		var flags uint8
-		if pc.FirstUse {
-			flags |= 1
+		for j := range c.entries {
+			if e := &c.entries[j]; e.res >= 0 {
+				e.res = remap[e.res]
+			}
 		}
-		if pc.UsedExpired {
-			flags |= 2
-		}
-		put(int64(pc.DNS))
-		put(int64(pc.Gap))
-		put(uint32(pc.Candidates))
-		put(uint8(pc.Class))
-		put(flags)
+		a.clients[s] = c
+		ck.restored[s] = true
+		ck.done = append(ck.done, s)
 	}
-	var used []int32
-	for _, di := range sh.dns {
-		if a.DNSUsed[di] {
-			used = append(used, di)
-		}
-	}
-	put(uint32(len(used)))
-	for _, di := range used {
-		put(uint32(di))
-	}
-	return buf.Bytes()
-}
-
-// decodeShard replays an encoded shard into the analysis slots shard s
-// owns and tallies its per-class counts.
-func (a *Analysis) decodeShard(s int, blob []byte, counts *[numClasses]int) error {
-	sh := &a.shards[s]
-	r := bytes.NewReader(blob)
-	var n uint32
-	if err := readLE(r, &n); err != nil {
-		return fmt.Errorf("checkpoint: shard %d: %w", s, err)
-	}
-	if int(n) != len(sh.conns) {
-		return fmt.Errorf("%w: shard %d has %d connections, snapshot has %d",
-			ErrCheckpointMismatch, s, len(sh.conns), n)
-	}
-	for _, ci := range sh.conns {
-		var dns, gap int64
-		var cand uint32
-		var class, flags uint8
-		if err := readLE(r, &dns, &gap, &cand, &class, &flags); err != nil {
-			return fmt.Errorf("checkpoint: shard %d: truncated entry: %w", s, err)
-		}
-		if Class(class) >= numClasses {
-			return fmt.Errorf("checkpoint: shard %d: bad class %d", s, class)
-		}
-		pc := &a.Paired[ci]
-		pc.Conn = int(ci)
-		pc.DNS = int(dns)
-		pc.Gap = time.Duration(gap)
-		pc.Candidates = int(cand)
-		pc.Class = Class(class)
-		pc.FirstUse = flags&1 != 0
-		pc.UsedExpired = flags&2 != 0
-		counts[pc.Class]++
-	}
-	var nUsed uint32
-	if err := readLE(r, &nUsed); err != nil {
-		return fmt.Errorf("checkpoint: shard %d: %w", s, err)
-	}
-	for i := 0; i < int(nUsed); i++ {
-		var di uint32
-		if err := readLE(r, &di); err != nil {
-			return fmt.Errorf("checkpoint: shard %d: truncated used-DNS list: %w", s, err)
-		}
-		if int(di) >= len(a.DNSUsed) {
-			return fmt.Errorf("checkpoint: shard %d: used-DNS index %d out of range", s, di)
-		}
-		a.DNSUsed[di] = true
-	}
+	ck.restoredC.Add(uint64(len(part.clients)))
 	return nil
 }
 
@@ -337,29 +242,4 @@ func (a *Analysis) fingerprint() uint64 {
 	}
 	a.fp = h.Sum64()
 	return a.fp
-}
-
-// optsKey hashes every option that influences analysis results.
-// Workers is deliberately excluded (results are worker-count
-// invariant), as are the observation hooks, the checkpoint config, and
-// the streaming memory budget (spilling never changes the answer, only
-// where intermediate state lives).
-func (a *Analysis) optsKey() uint64 { return optionsKey(&a.Opts) }
-
-// optionsKey is the standalone form of optsKey, shared with the
-// mergeable-shard layer: an AnalysisShard refuses to merge with one
-// produced under different result-affecting options, using exactly the
-// fingerprint checkpoints already pin.
-func optionsKey(o *Options) uint64 {
-	h := fnv.New64a()
-	put := func(v any) { _ = binary.Write(h, binary.LittleEndian, v) }
-	put(int64(o.BlockThreshold))
-	put(int64(o.KneeThreshold))
-	put(int64(o.SCRMinSamples))
-	put(int64(o.DefaultSCThreshold))
-	put(uint8(o.Pairing))
-	put(o.Seed)
-	put(int64(o.InsignificantAbs))
-	put(o.InsignificantRel)
-	return h.Sum64()
 }

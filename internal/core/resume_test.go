@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dnscontext/internal/checkpoint"
 	"dnscontext/internal/trace"
 )
 
@@ -167,5 +168,25 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	a, err := AnalyzeContext(context.Background(), copyDataset(ds), o)
 	if err != nil || a == nil {
 		t.Fatalf("missing checkpoint: (%v, %v), want fresh run", a, err)
+	}
+}
+
+// TestResumeRejectsVersion1Checkpoint: a snapshot in the retired
+// per-shard-blob format (checkpoint version 1) fails with
+// *checkpoint.VersionError instead of being misread as a partial shard.
+func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
+	ds := determinismTrace(t)
+	path := filepath.Join(t.TempDir(), "analysis.ckpt")
+	// A version-1 header: fingerprint, options key, shard and done counts.
+	if err := checkpoint.Save(path, 1, make([]byte, 8+8+4+4)); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.SCRMinSamples = 50
+	opts.Checkpoint = &Checkpoint{Path: path, Resume: true}
+	_, err := AnalyzeContext(context.Background(), copyDataset(ds), opts)
+	var ve *checkpoint.VersionError
+	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != ckVersion {
+		t.Fatalf("version-1 checkpoint: err = %v, want *checkpoint.VersionError{Got: 1}", err)
 	}
 }

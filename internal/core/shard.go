@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/netip"
 	"sort"
@@ -57,6 +56,22 @@ type resolverStat struct {
 	minDur  time.Duration
 }
 
+// observe folds one lookup's duration into the summary.
+func (rs *resolverStat) observe(d time.Duration) {
+	if rs.lookups == 0 || d < rs.minDur {
+		rs.minDur = d
+	}
+	rs.lookups++
+}
+
+// add folds another summary of the same resolver into rs.
+func (rs *resolverStat) add(o resolverStat) {
+	if rs.lookups == 0 || o.minDur < rs.minDur {
+		rs.minDur = o.minDur
+	}
+	rs.lookups += o.lookups
+}
+
 // clientResult is one client's classified slice: the number of DNS
 // transactions it issued and one entry per connection, in start-time
 // order.
@@ -73,15 +88,16 @@ type connEntry struct {
 	// DNS-record sequence (time order), or -1 when unpaired. Client-local
 	// indexing is what keeps entries meaningful across processes that
 	// never saw each other's datasets.
-	localDNS    int32
-	gap         time.Duration
-	candidates  int32
+	localDNS   int32
+	candidates int32
+	// lookupDur and res (an index into the shard's resolver table, -1
+	// when unpaired) defer the SC/R decision to classification time,
+	// where thresholds exist.
+	res         int32
 	firstUse    bool
 	usedExpired bool
-	// lookupDur and res (an index into the shard's resolver table) defer
-	// the SC/R decision to Finalize, where merged thresholds exist.
-	lookupDur time.Duration
-	res       int32
+	gap         time.Duration
+	lookupDur   time.Duration
 }
 
 // ErrShardMismatch is matched (via errors.Is) when shards produced
@@ -104,7 +120,7 @@ func (s *AnalysisShard) Clients() int { return len(s.clients) }
 // result-affecting options, or with overlapping client sets, return an
 // error wrapping ErrShardMismatch.
 func (s *AnalysisShard) Merge(o *AnalysisShard) (*AnalysisShard, error) {
-	if optionsKey(&s.opts) != optionsKey(&o.opts) {
+	if !sameResultOptions(&s.opts, &o.opts) {
 		return nil, fmt.Errorf("%w: produced under different analysis options", ErrShardMismatch)
 	}
 	have := make(map[netip.Addr]bool, len(s.clients))
@@ -122,9 +138,10 @@ func (s *AnalysisShard) Merge(o *AnalysisShard) (*AnalysisShard, error) {
 		opts:      s.opts,
 		dnsTotal:  s.dnsTotal + o.dnsTotal,
 		connTotal: s.connTotal + o.connTotal,
-		failures:  addFailures(s.failures, o.failures),
+		failures:  s.failures,
 		resolvers: append([]resolverStat(nil), s.resolvers...),
 	}
+	m.failures.add(o.failures)
 	// Remap o's resolver symbols into the merged table: each shard
 	// numbered resolvers in its own first-appearance order, so the merge
 	// rebinds by address and sums the associative stats.
@@ -139,13 +156,9 @@ func (s *AnalysisShard) Merge(o *AnalysisShard) (*AnalysisShard, error) {
 		if !ok {
 			p = int32(len(m.resolvers))
 			pos[rs.addr] = p
-			m.resolvers = append(m.resolvers, resolverStat{addr: rs.addr, minDur: rs.minDur})
+			m.resolvers = append(m.resolvers, resolverStat{addr: rs.addr})
 		}
-		mr := &m.resolvers[p]
-		if mr.lookups == 0 || rs.minDur < mr.minDur {
-			mr.minDur = rs.minDur
-		}
-		mr.lookups += rs.lookups
+		m.resolvers[p].add(*rs)
 		remap[i] = p
 	}
 
@@ -178,16 +191,6 @@ func needsRemap(entries []connEntry, remap []int32) bool {
 	return false
 }
 
-func addFailures(a, b FailureStats) FailureStats {
-	return FailureStats{
-		Lookups:      a.Lookups + b.Lookups,
-		ServFails:    a.ServFails + b.ServFails,
-		Retried:      a.Retried + b.Retried,
-		TotalRetries: a.TotalRetries + b.TotalRetries,
-		TCPFallbacks: a.TCPFallbacks + b.TCPFallbacks,
-	}
-}
-
 // MergeShards folds any number of shards into one. At least one shard
 // is required.
 func MergeShards(shards ...*AnalysisShard) (*AnalysisShard, error) {
@@ -206,153 +209,66 @@ func MergeShards(shards ...*AnalysisShard) (*AnalysisShard, error) {
 
 // Finalize reduces the shard to a summary-grade *Analysis: it
 // re-derives the per-resolver SC/R thresholds from the merged resolver
-// statistics — the same arithmetic, gate, and rounding as the in-memory
-// deriveThresholds — assigns each connection its Table 2 class from the
-// stored pairing facts, and tallies the totals. The result reports
+// statistics with the same deriveThresholds the in-memory pipeline
+// runs, assigns each connection its Table 2 class from the stored
+// pairing facts, and tallies the totals. The result reports
 // classification (Count/Fraction/Table2/BlockedFraction/
 // SharedCacheHitRate), Thresholds, Failures, Digest, and WriteSummary
 // exactly as the in-memory path would; see Analysis.Summary for what a
 // summary analysis cannot do.
 func (s *AnalysisShard) Finalize() *Analysis {
-	thresholds, thByRes := s.deriveThresholds()
+	failures := s.failures
 	a := &Analysis{
-		Opts:       s.opts,
-		Thresholds: thresholds,
-		summary:    true,
-		dnsTotal:   int(s.dnsTotal),
-		connTotal:  int(s.connTotal),
-		failures:   &FailureStats{},
+		Opts:      s.opts,
+		summary:   true,
+		dnsTotal:  int(s.dnsTotal),
+		connTotal: int(s.connTotal),
+		failures:  &failures,
+		resolvers: s.resolvers,
+		clients:   s.clients,
 	}
-	*a.failures = s.failures
-
-	var digest uint64
-	for i := range s.clients {
-		c := &s.clients[i]
-		h := newDigest()
-		h.addr(c.client)
-		h.u64(uint64(c.nDNS))
-		for j := range c.entries {
-			e := &c.entries[j]
-			class := entryClass(e, &s.opts, thByRes)
-			a.classCounts[class]++
-			h.entry(e, class)
-		}
-		digest ^= uint64(h)
-	}
-	h := newDigest()
-	h.u64(uint64(s.connTotal))
-	h.u64(uint64(s.dnsTotal))
-	digest ^= uint64(h)
+	a.Thresholds, a.thByRsym = deriveThresholds(s.resolvers, s.dnsTotal, &s.opts)
+	digest, counts := a.fold()
+	a.classCounts = counts
 	a.digestOnce.Do(func() { a.digest = digest })
 	return a
 }
 
-// entryClass derives the Table 2 class from one entry's pairing facts and
-// the finalized thresholds — the decision tree of classifyShard, minus
-// the dataset.
+// entryClass is the Table 2 decision tree: it derives a connection's
+// class from its pairing facts and the per-resolver thresholds.
 func entryClass(e *connEntry, opts *Options, thByRes []time.Duration) Class {
 	if e.localDNS < 0 {
 		return ClassN
 	}
 	if e.gap > opts.BlockThreshold {
+		// Record was on hand: local cache or prefetch.
 		if e.firstUse {
 			return ClassP
 		}
 		return ClassLC
 	}
+	// Blocked on the lookup: shared cache vs full resolution, decided by
+	// the per-resolver duration threshold.
 	if e.lookupDur <= thByRes[e.res] {
 		return ClassSC
 	}
 	return ClassR
 }
 
-// deriveThresholds is the shard-side twin of Analysis.deriveThresholds:
-// identical gate scaling, 2.5x-minimum multiple, and millisecond
-// round-up, fed by the merged (count, min) statistics instead of a
-// dataset scan.
-func (s *AnalysisShard) deriveThresholds() (map[string]time.Duration, []time.Duration) {
-	gate := int64(s.dnsTotal) / 9200
-	if gate < 50 {
-		gate = 50
-	}
-	if gate > int64(s.opts.SCRMinSamples) {
-		gate = int64(s.opts.SCRMinSamples)
-	}
-	thresholds := make(map[string]time.Duration)
-	thByRes := make([]time.Duration, len(s.resolvers))
-	for i := range s.resolvers {
-		rs := &s.resolvers[i]
-		thByRes[i] = s.opts.DefaultSCThreshold
-		if rs.lookups < gate {
-			continue
-		}
-		th := time.Duration(float64(rs.minDur) * 2.5)
-		th = ((th + time.Millisecond - 1) / time.Millisecond) * time.Millisecond
-		if th < s.opts.DefaultSCThreshold {
-			th = s.opts.DefaultSCThreshold
-		}
-		thByRes[i] = th
-		thresholds[rs.addr.String()] = th
-	}
-	return thresholds, thByRes
-}
-
-// Shard converts a full in-memory analysis into the equivalent
-// AnalysisShard, the bridge that lets a resident run participate in a
-// distributed merge (and the reference point the streaming path is
-// tested against). The conversion rewrites dataset indices as
-// client-local ones and recomputes the per-resolver statistics the
-// in-memory pipeline consumed without storing.
+// Shard returns the analysis as the equivalent AnalysisShard, the
+// bridge that lets a resident run participate in a distributed merge
+// (and the reference point the streaming path is tested against). The
+// shard shares the analysis's per-client pairing facts and resolver
+// statistics; neither side mutates them.
 func (a *Analysis) Shard() *AnalysisShard {
-	s := &AnalysisShard{
+	return &AnalysisShard{
 		opts:      a.Opts,
-		dnsTotal:  int64(len(a.DS.DNS)),
-		connTotal: int64(len(a.DS.Conns)),
+		dnsTotal:  int64(a.dnsTotal),
+		connTotal: int64(a.connTotal),
 		failures:  a.Failures(),
-		resolvers: make([]resolverStat, len(a.resolverAddrs)),
+		resolvers: a.resolvers,
+		clients:   a.clients,
 	}
-	for i, addr := range a.resolverAddrs {
-		s.resolvers[i].addr = addr
-	}
-	for i := range a.DS.DNS {
-		rs := &s.resolvers[a.rsym[i]]
-		d := a.DS.DNS[i].Duration()
-		if rs.lookups == 0 || d < rs.minDur {
-			rs.minDur = d
-		}
-		rs.lookups++
-	}
-	s.clients = make([]clientResult, len(a.shards))
-	for si := range a.shards {
-		sh := &a.shards[si]
-		c := &s.clients[si]
-		c.client = sh.client
-		c.nDNS = int32(len(sh.dns))
-		if len(sh.conns) == 0 {
-			continue
-		}
-		c.entries = make([]connEntry, len(sh.conns))
-		for j, ci := range sh.conns {
-			pc := &a.Paired[ci]
-			e := &c.entries[j]
-			if pc.DNS < 0 {
-				e.localDNS, e.res = -1, -1
-				continue
-			}
-			// sh.dns is ascending, so the client-local index is the
-			// global index's position within it.
-			e.localDNS = int32(sort.Search(len(sh.dns), func(k int) bool {
-				return sh.dns[k] >= int32(pc.DNS)
-			}))
-			e.gap = pc.Gap
-			e.candidates = int32(pc.Candidates)
-			e.firstUse = pc.FirstUse
-			e.usedExpired = pc.UsedExpired
-			e.lookupDur = a.DS.DNS[pc.DNS].Duration()
-			e.res = a.rsym[pc.DNS]
-		}
-	}
-	return s
 }
 
 // Digest is an order-independent fingerprint of every per-connection
@@ -360,41 +276,32 @@ func (a *Analysis) Shard() *AnalysisShard {
 // hashes XOR-folded, so it is identical for every worker count,
 // client order, and shard grouping. Equal digests across the in-memory,
 // streaming, and merged paths are the parity tests' success criterion.
+// A full analysis folds it on first use, off the analysis's timed path.
 func (a *Analysis) Digest() uint64 {
-	a.digestOnce.Do(func() {
-		// Summary analyses had the digest installed during Finalize; this
-		// branch only runs for full analyses.
-		var digest uint64
-		for si := range a.shards {
-			sh := &a.shards[si]
-			h := newDigest()
-			h.addr(sh.client)
-			h.u64(uint64(len(sh.dns)))
-			for _, ci := range sh.conns {
-				pc := &a.Paired[ci]
-				var e connEntry
-				if pc.DNS < 0 {
-					e.localDNS, e.res = -1, -1
-				} else {
-					e.localDNS = int32(sort.Search(len(sh.dns), func(k int) bool {
-						return sh.dns[k] >= int32(pc.DNS)
-					}))
-					e.gap = pc.Gap
-					e.candidates = int32(pc.Candidates)
-					e.firstUse = pc.FirstUse
-					e.usedExpired = pc.UsedExpired
-				}
-				h.entry(&e, pc.Class)
-			}
-			digest ^= uint64(h)
-		}
-		h := newDigest()
-		h.u64(uint64(a.connTotal))
-		h.u64(uint64(a.dnsTotal))
-		digest ^= uint64(h)
-		a.digest = digest
-	})
+	a.digestOnce.Do(func() { a.digest, _ = a.fold() })
 	return a.digest
+}
+
+// fold classifies every per-client entry with entryClass, returning
+// the digest and the per-class tally.
+func (a *Analysis) fold() (digest uint64, counts [numClasses]int) {
+	for i := range a.clients {
+		c := &a.clients[i]
+		h := newDigest()
+		h.addr(c.client)
+		h.u64(uint64(c.nDNS))
+		for j := range c.entries {
+			e := &c.entries[j]
+			class := entryClass(e, &a.Opts, a.thByRsym)
+			counts[class]++
+			h.entry(e, class)
+		}
+		digest ^= uint64(h)
+	}
+	h := newDigest()
+	h.u64(uint64(a.connTotal))
+	h.u64(uint64(a.dnsTotal))
+	return digest ^ uint64(h), counts
 }
 
 // digestHash is an inline FNV-64a accumulator.
@@ -464,7 +371,7 @@ func ReadShardFile(path string) (*AnalysisShard, error) {
 
 // encode serializes the shard. Layout (little-endian):
 //
-//	options: 8 result-affecting fields (the optionsKey inputs)
+//	options: 8 result-affecting fields (see appendOptions)
 //	i64 dnsTotal, i64 connTotal
 //	failures: 5 x i64
 //	u32 nResolvers; per resolver (addr order): addr, i64 lookups, i64 min
@@ -475,65 +382,42 @@ func ReadShardFile(path string) (*AnalysisShard, error) {
 // where addr is u8 length + raw bytes, and entry res symbols are
 // rewritten to the address-ordered resolver numbering.
 func (s *AnalysisShard) encode() []byte {
-	var buf bytes.Buffer
-	put := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	le := binary.LittleEndian
+	b := appendOptions(nil, &s.opts)
+	put64 := func(v int64) { b = le.AppendUint64(b, uint64(v)) }
+	put32 := func(v int32) { b = le.AppendUint32(b, uint32(v)) }
 	putAddr := func(a netip.Addr) {
-		b := a.AsSlice()
-		put(uint8(len(b)))
-		buf.Write(b)
+		raw := a.AsSlice()
+		b = append(append(b, uint8(len(raw))), raw...)
 	}
-	o := &s.opts
-	put(int64(o.BlockThreshold))
-	put(int64(o.KneeThreshold))
-	put(int64(o.SCRMinSamples))
-	put(int64(o.DefaultSCThreshold))
-	put(uint8(o.Pairing))
-	put(o.Seed)
-	put(int64(o.InsignificantAbs))
-	put(math.Float64bits(o.InsignificantRel))
-
-	put(s.dnsTotal)
-	put(s.connTotal)
-	put(int64(s.failures.Lookups))
-	put(int64(s.failures.ServFails))
-	put(int64(s.failures.Retried))
-	put(int64(s.failures.TotalRetries))
-	put(int64(s.failures.TCPFallbacks))
+	f := &s.failures
+	for _, v := range []int64{s.dnsTotal, s.connTotal, int64(f.Lookups), int64(f.ServFails),
+		int64(f.Retried), int64(f.TotalRetries), int64(f.TCPFallbacks)} {
+		put64(v)
+	}
 
 	// Canonical resolver order, with a remap from the in-memory
 	// first-appearance numbering.
-	order := make([]int32, len(s.resolvers))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return s.resolvers[order[i]].addr.Compare(s.resolvers[order[j]].addr) < 0
-	})
+	order := sortedBy(len(s.resolvers), func(i int) netip.Addr { return s.resolvers[i].addr })
 	remap := make([]int32, len(s.resolvers))
 	for canon, orig := range order {
 		remap[orig] = int32(canon)
 	}
-	put(uint32(len(s.resolvers)))
+	put32(int32(len(s.resolvers)))
 	for _, orig := range order {
 		rs := &s.resolvers[orig]
 		putAddr(rs.addr)
-		put(rs.lookups)
-		put(int64(rs.minDur))
+		put64(rs.lookups)
+		put64(int64(rs.minDur))
 	}
 
-	corder := make([]int32, len(s.clients))
-	for i := range corder {
-		corder[i] = int32(i)
-	}
-	sort.Slice(corder, func(i, j int) bool {
-		return s.clients[corder[i]].client.Compare(s.clients[corder[j]].client) < 0
-	})
-	put(uint32(len(s.clients)))
+	corder := sortedBy(len(s.clients), func(i int) netip.Addr { return s.clients[i].client })
+	put32(int32(len(s.clients)))
 	for _, ci := range corder {
 		c := &s.clients[ci]
 		putAddr(c.client)
-		put(c.nDNS)
-		put(uint32(len(c.entries)))
+		put32(c.nDNS)
+		put32(int32(len(c.entries)))
 		for j := range c.entries {
 			e := &c.entries[j]
 			res := e.res
@@ -547,122 +431,218 @@ func (s *AnalysisShard) encode() []byte {
 			if e.usedExpired {
 				flags |= 2
 			}
-			put(e.localDNS)
-			put(int64(e.gap))
-			put(e.candidates)
-			put(flags)
-			put(int64(e.lookupDur))
-			put(res)
+			put32(e.localDNS)
+			put64(int64(e.gap))
+			put32(e.candidates)
+			b = append(b, flags)
+			put64(int64(e.lookupDur))
+			put32(res)
 		}
 	}
-	return buf.Bytes()
+	return b
 }
 
-func decodeShardPayload(payload []byte) (*AnalysisShard, error) {
-	r := bytes.NewReader(payload)
-	bad := func(what string, err error) (*AnalysisShard, error) {
-		return nil, fmt.Errorf("dnscontext: shard file: truncated %s: %w", what, err)
+// sortedBy returns the indices [0, n) ordered by ascending address.
+func sortedBy(n int, addr func(int) netip.Addr) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	readAddr := func() (netip.Addr, error) {
-		var n uint8
-		if err := readLE(r, &n); err != nil {
-			return netip.Addr{}, err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return netip.Addr{}, err
-		}
-		a, ok := netip.AddrFromSlice(b)
-		if !ok {
-			return netip.Addr{}, fmt.Errorf("bad address length %d", n)
-		}
-		return a, nil
+	sort.Slice(order, func(i, j int) bool { return addr(int(order[i])).Compare(addr(int(order[j]))) < 0 })
+	return order
+}
+
+// appendOptions appends the encoding's options block: every option
+// that influences analysis results. Workers is deliberately excluded
+// (results are worker-count invariant), as are the observation hooks,
+// the checkpoint config, and the streaming memory budget (spilling
+// never changes the answer, only where intermediate state lives).
+func appendOptions(b []byte, o *Options) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(o.BlockThreshold))
+	b = le.AppendUint64(b, uint64(o.KneeThreshold))
+	b = le.AppendUint64(b, uint64(o.SCRMinSamples))
+	b = le.AppendUint64(b, uint64(o.DefaultSCThreshold))
+	b = append(b, uint8(o.Pairing))
+	b = le.AppendUint64(b, o.Seed)
+	b = le.AppendUint64(b, uint64(o.InsignificantAbs))
+	return le.AppendUint64(b, math.Float64bits(o.InsignificantRel))
+}
+
+// sameResultOptions reports whether two option sets produce the same
+// analysis results: shards (and checkpoints) only combine under equal
+// options blocks.
+func sameResultOptions(a, b *Options) bool {
+	return bytes.Equal(appendOptions(nil, a), appendOptions(nil, b))
+}
+
+// Smallest encodings of one resolver, client, and entry: the decoder
+// bounds every count by the payload bytes that remain, so a corrupt
+// count fails as truncation instead of driving a huge allocation.
+const (
+	minResolverBytes = 1 + 4 + 8 + 8
+	minClientBytes   = 1 + 4 + 4 + 4
+	entryBytes       = 4 + 8 + 4 + 1 + 8 + 4
+)
+
+// payloadReader is a little-endian cursor over a payload with a sticky
+// error: after the first failure every read yields zero, so decoding
+// code checks once per section instead of once per field.
+type payloadReader struct {
+	b   []byte
+	err error
+}
+
+func (r *payloadReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *payloadReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if len(r.b) < n {
+		r.fail("truncated payload: need %d bytes, %d left", n, len(r.b))
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *payloadReader) u8() uint8 {
+	if v := r.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+
+func (r *payloadReader) i32() int32 {
+	if v := r.take(4); v != nil {
+		return int32(binary.LittleEndian.Uint32(v))
+	}
+	return 0
+}
+
+func (r *payloadReader) i64() int64 {
+	if v := r.take(8); v != nil {
+		return int64(binary.LittleEndian.Uint64(v))
+	}
+	return 0
+}
+
+// count reads a u32 element count and checks that the remaining payload
+// could hold that many elements of at least minBytes each.
+func (r *payloadReader) count(what string, minBytes int) int {
+	n := int64(uint32(r.i32()))
+	if r.err == nil && n*int64(minBytes) > int64(len(r.b)) {
+		r.fail("%d %s cannot fit in the %d bytes left", n, what, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// addr reads a length-prefixed address that must sort strictly after
+// prev: the encoder writes resolvers and clients in ascending address
+// order, so a duplicate or out-of-order address is corruption.
+func (r *payloadReader) addr(prev netip.Addr) netip.Addr {
+	raw := r.take(int(r.u8()))
+	if r.err != nil {
+		return netip.Addr{}
+	}
+	a, ok := netip.AddrFromSlice(raw)
+	switch {
+	case !ok:
+		r.fail("bad address length %d", len(raw))
+	case prev.IsValid() && prev.Compare(a) >= 0:
+		r.fail("address %s out of order after %s", a, prev)
+	}
+	return a
+}
+
+// decodeShardPayload parses an encoded shard, rejecting anything a
+// later Merge, Finalize, or checkpoint restore could not use safely:
+// counts beyond the payload, non-canonical address order, lookup
+// indices outside the client's range, resolver symbols outside the
+// table, and totals that disagree with the per-client sums.
+func decodeShardPayload(payload []byte) (*AnalysisShard, error) {
+	r := &payloadReader{b: payload}
+	s := &AnalysisShard{}
+	o := &s.opts
+	o.BlockThreshold = time.Duration(r.i64())
+	o.KneeThreshold = time.Duration(r.i64())
+	o.SCRMinSamples = int(r.i64())
+	o.DefaultSCThreshold = time.Duration(r.i64())
+	o.Pairing = PairingPolicy(r.u8())
+	o.Seed = uint64(r.i64())
+	o.InsignificantAbs = time.Duration(r.i64())
+	o.InsignificantRel = math.Float64frombits(uint64(r.i64()))
+	s.dnsTotal, s.connTotal = r.i64(), r.i64()
+	f := &s.failures
+	for _, v := range []*int{&f.Lookups, &f.ServFails, &f.Retried, &f.TotalRetries, &f.TCPFallbacks} {
+		*v = int(r.i64())
 	}
 
-	s := &AnalysisShard{}
-	var block, knee, minSamples, defTh, insAbs int64
-	var pairing uint8
-	var seed, insRelBits uint64
-	if err := readLE(r, &block, &knee, &minSamples, &defTh, &pairing, &seed, &insAbs, &insRelBits); err != nil {
-		return bad("options", err)
-	}
-	s.opts = Options{
-		BlockThreshold:     time.Duration(block),
-		KneeThreshold:      time.Duration(knee),
-		SCRMinSamples:      int(minSamples),
-		DefaultSCThreshold: time.Duration(defTh),
-		Pairing:            PairingPolicy(pairing),
-		Seed:               seed,
-		InsignificantAbs:   time.Duration(insAbs),
-		InsignificantRel:   math.Float64frombits(insRelBits),
-	}
-	var fl, fs, fr, ft, fc int64
-	if err := readLE(r, &s.dnsTotal, &s.connTotal, &fl, &fs, &fr, &ft, &fc); err != nil {
-		return bad("totals", err)
-	}
-	s.failures = FailureStats{
-		Lookups: int(fl), ServFails: int(fs), Retried: int(fr),
-		TotalRetries: int(ft), TCPFallbacks: int(fc),
-	}
-	var nRes uint32
-	if err := readLE(r, &nRes); err != nil {
-		return bad("resolver count", err)
-	}
+	nRes := r.count("resolvers", minResolverBytes)
 	s.resolvers = make([]resolverStat, nRes)
+	var prev netip.Addr
 	for i := range s.resolvers {
-		addr, err := readAddr()
-		if err != nil {
-			return bad("resolver address", err)
-		}
-		var minDur int64
-		if err := readLE(r, &s.resolvers[i].lookups, &minDur); err != nil {
-			return bad("resolver stats", err)
-		}
-		s.resolvers[i].addr = addr
-		s.resolvers[i].minDur = time.Duration(minDur)
+		rs := &s.resolvers[i]
+		rs.addr = r.addr(prev)
+		rs.lookups, rs.minDur = r.i64(), time.Duration(r.i64())
+		prev = rs.addr
 	}
-	var nClients uint32
-	if err := readLE(r, &nClients); err != nil {
-		return bad("client count", err)
-	}
-	s.clients = make([]clientResult, nClients)
-	for i := range s.clients {
+
+	s.clients = make([]clientResult, r.count("clients", minClientBytes))
+	prev = netip.Addr{}
+	var sumDNS, sumConns int64
+	for i := 0; i < len(s.clients) && r.err == nil; i++ {
 		c := &s.clients[i]
-		addr, err := readAddr()
-		if err != nil {
-			return bad("client address", err)
+		c.client = r.addr(prev)
+		prev = c.client
+		c.nDNS = r.i32()
+		if c.nDNS < 0 {
+			r.fail("client %s: negative lookup count %d", c.client, c.nDNS)
 		}
-		c.client = addr
-		var nEntries uint32
-		if err := readLE(r, &c.nDNS, &nEntries); err != nil {
-			return bad("client header", err)
+		if n := r.count("entries", entryBytes); n > 0 {
+			c.entries = make([]connEntry, n)
 		}
-		if int64(nEntries) > s.connTotal {
-			return nil, fmt.Errorf("dnscontext: shard file: client %s claims %d entries of %d total connections",
-				addr, nEntries, s.connTotal)
-		}
-		if nEntries == 0 {
-			continue
-		}
-		c.entries = make([]connEntry, nEntries)
-		for j := range c.entries {
+		sumDNS += int64(c.nDNS)
+		sumConns += int64(len(c.entries))
+		for j := 0; j < len(c.entries) && r.err == nil; j++ {
 			e := &c.entries[j]
-			var gap, lookupDur int64
-			var flags uint8
-			if err := readLE(r, &e.localDNS, &gap, &e.candidates, &flags, &lookupDur, &e.res); err != nil {
-				return bad("entry", err)
+			e.localDNS = r.i32()
+			e.gap = time.Duration(r.i64())
+			e.candidates = r.i32()
+			flags := r.u8()
+			e.firstUse, e.usedExpired = flags&1 != 0, flags&2 != 0
+			e.lookupDur = time.Duration(r.i64())
+			e.res = r.i32()
+			switch {
+			case e.localDNS < -1 || e.localDNS >= c.nDNS:
+				r.fail("client %s: lookup index %d outside [-1, %d)", c.client, e.localDNS, c.nDNS)
+			case e.localDNS >= 0 && (e.res < 0 || int(e.res) >= nRes):
+				r.fail("client %s: resolver symbol %d outside [0, %d)", c.client, e.res, nRes)
+			case e.localDNS < 0 && e.res != -1:
+				r.fail("client %s: unpaired connection carries resolver symbol %d", c.client, e.res)
 			}
-			if e.res >= int32(nRes) {
-				return nil, fmt.Errorf("dnscontext: shard file: resolver symbol %d out of range", e.res)
-			}
-			e.gap = time.Duration(gap)
-			e.lookupDur = time.Duration(lookupDur)
-			e.firstUse = flags&1 != 0
-			e.usedExpired = flags&2 != 0
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("dnscontext: shard file: %d trailing bytes", r.Len())
+	switch {
+	case r.err != nil:
+	case len(r.b) != 0:
+		r.fail("%d trailing bytes", len(r.b))
+	case sumConns != s.connTotal:
+		r.fail("clients hold %d connections, totals say %d", sumConns, s.connTotal)
+	case sumDNS != s.dnsTotal:
+		r.fail("clients hold %d lookups, totals say %d", sumDNS, s.dnsTotal)
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("dnscontext: shard file: %w", r.err)
 	}
 	return s, nil
 }

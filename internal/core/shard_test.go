@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"net/netip"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dnscontext/internal/trace"
 )
@@ -184,4 +187,160 @@ func TestShardEncodingCanonical(t *testing.T) {
 	if !bytes.Equal(abc.encode(), cba.encode()) {
 		t.Error("merge order changed the canonical encoding")
 	}
+}
+
+// craftedShard is a minimal valid shard: one resolver, one client with
+// two lookups, one paired and one unpaired connection.
+func craftedShard() *AnalysisShard {
+	return &AnalysisShard{
+		opts:      DefaultOptions(),
+		dnsTotal:  2,
+		connTotal: 2,
+		failures:  FailureStats{Lookups: 2},
+		resolvers: []resolverStat{{addr: netip.MustParseAddr("192.0.2.53"), lookups: 2, minDur: 2 * time.Millisecond}},
+		clients: []clientResult{{
+			client: netip.MustParseAddr("10.0.0.1"),
+			nDNS:   2,
+			entries: []connEntry{
+				{localDNS: 1, candidates: 1, res: 0, firstUse: true, gap: time.Millisecond, lookupDur: 3 * time.Millisecond},
+				{localDNS: -1, res: -1},
+			},
+		}},
+	}
+}
+
+// Byte offsets of the u32 counts in craftedShard's encoding.
+var (
+	craftedResolverCount = len(appendOptions(nil, &Options{})) + 7*8
+	craftedClientCount   = craftedResolverCount + 4 + minResolverBytes
+	craftedEntryCount    = craftedClientCount + 4 + 1 + 4 + 4
+)
+
+// craftedPaired encodes craftedShard with the paired entry's resolver
+// symbol replaced: Finalize indexes the threshold table with it.
+func craftedPaired(res int32) []byte {
+	s := craftedShard()
+	s.clients[0].entries[0].res = res
+	return s.encode()
+}
+
+// craftedLookupIndex encodes craftedShard with the paired entry's
+// client-local lookup index replaced.
+func craftedLookupIndex(localDNS int32) []byte {
+	s := craftedShard()
+	s.clients[0].entries[0].localDNS = localDNS
+	return s.encode()
+}
+
+// craftedCount encodes craftedShard with the u32 count at off replaced,
+// and the connection total raised to match so no total caps the claim.
+func craftedCount(off int, n uint32) []byte {
+	b := craftedShard().encode()
+	binary.LittleEndian.PutUint32(b[off:], n)
+	binary.LittleEndian.PutUint64(b[craftedResolverCount-6*8:], uint64(n))
+	return b
+}
+
+func TestCraftedShardDecodes(t *testing.T) {
+	s, err := decodeShardPayload(craftedShard().encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := s.Finalize(); a.Count(ClassSC) != 1 || a.Count(ClassN) != 1 {
+		t.Fatalf("crafted shard finalized to %v", a.Table2())
+	}
+	for _, off := range []int{craftedResolverCount, craftedClientCount, craftedEntryCount} {
+		if got := binary.LittleEndian.Uint32(craftedShard().encode()[off:]); got == 0 || got > 2 {
+			t.Fatalf("offset %d holds %d, not a count", off, got)
+		}
+	}
+}
+
+// TestShardDecodeRejectsPairedWithoutResolver: a paired entry must name
+// a resolver, or Finalize would index the threshold table with -1.
+func TestShardDecodeRejectsPairedWithoutResolver(t *testing.T) {
+	for _, res := range []int32{-1, -7} {
+		if _, err := decodeShardPayload(craftedPaired(res)); err == nil {
+			t.Errorf("paired entry with resolver symbol %d decoded", res)
+		}
+	}
+}
+
+// TestShardDecodeRejectsLookupIndexOutOfRange: client-local lookup
+// indices lie in [-1, nDNS), and nDNS is never negative.
+func TestShardDecodeRejectsLookupIndexOutOfRange(t *testing.T) {
+	for _, l := range []int32{2, 1 << 30, -2} {
+		if _, err := decodeShardPayload(craftedLookupIndex(l)); err == nil {
+			t.Errorf("lookup index %d of 2 decoded", l)
+		}
+	}
+	s := craftedShard()
+	s.clients[0].nDNS, s.dnsTotal = -2, -2
+	s.clients[0].entries[0].localDNS = -1
+	s.clients[0].entries[0].res = -1
+	if _, err := decodeShardPayload(s.encode()); err == nil {
+		t.Error("negative lookup count decoded")
+	}
+}
+
+// TestShardDecodeBoundsCounts: a valid-looking header claiming 2^31
+// resolvers, clients, or entries must fail as truncation, not allocate
+// for the claim.
+func TestShardDecodeBoundsCounts(t *testing.T) {
+	for _, off := range []int{craftedResolverCount, craftedClientCount, craftedEntryCount} {
+		payload := craftedCount(off, 1<<31)
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := decodeShardPayload(payload); err == nil {
+				t.Fatalf("count 2^31 at offset %d decoded", off)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("count 2^31 at offset %d: %.0f allocations", off, allocs)
+		}
+	}
+	// The 117-byte header alone, claiming 2^31 resolvers.
+	if _, err := decodeShardPayload(craftedCount(craftedResolverCount, 1<<31)[:craftedResolverCount+4]); err == nil {
+		t.Error("bare header claiming 2^31 resolvers decoded")
+	}
+}
+
+// TestShardDecodeRejectsTotalsMismatch: the totals must equal the
+// per-client sums, so Finalize's fractions describe the entries held.
+func TestShardDecodeRejectsTotalsMismatch(t *testing.T) {
+	s := craftedShard()
+	s.connTotal++
+	if _, err := decodeShardPayload(s.encode()); err == nil {
+		t.Error("connection total above the entry count decoded")
+	}
+	s = craftedShard()
+	s.dnsTotal--
+	if _, err := decodeShardPayload(s.encode()); err == nil {
+		t.Error("DNS total below the per-client lookup counts decoded")
+	}
+}
+
+// FuzzReadShardFile fuzzes the payload decoder behind ReadShardFile
+// (the envelope around it — magic, version, length, CRC — is
+// checkpoint.Load's and tested there; fuzzing through the CRC would
+// reject nearly every mutation). Decoding must never panic, Finalize
+// must never panic on a payload the decoder accepts, and decode →
+// encode → decode must be a fixpoint. The seed corpus under
+// testdata/fuzz holds a real CollectShard output and the crafted
+// payloads of the decoder regression tests above.
+func FuzzReadShardFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := decodeShardPayload(payload)
+		if err != nil {
+			return
+		}
+		s.Finalize().Digest()
+		enc := s.encode()
+		again, err := decodeShardPayload(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted shard: %v", err)
+		}
+		if !bytes.Equal(again.encode(), enc) {
+			t.Fatal("decode → encode → decode is not a fixpoint")
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dnscontext/internal/parallel"
-	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
 )
 
@@ -293,29 +292,14 @@ func (r *streamRun) takePrep() *sidecars {
 // observeDNS folds one DNS record into the whole-trace accumulators.
 func (r *streamRun) observeDNS(d *trace.DNSRecord) {
 	r.dnsTotal++
-	r.failures.Lookups++
-	if failureRecord(d) {
-		r.failures.ServFails++
-	}
-	if d.Retries > 0 {
-		r.failures.Retried++
-		r.failures.TotalRetries += int(d.Retries)
-	}
-	if d.TC {
-		r.failures.TCPFallbacks++
-	}
+	r.failures.observe(d)
 	rs, ok := r.rsyms[d.Resolver]
 	if !ok {
 		rs = int32(len(r.resolvers))
 		r.rsyms[d.Resolver] = rs
 		r.resolvers = append(r.resolvers, resolverStat{addr: d.Resolver})
 	}
-	stat := &r.resolvers[rs]
-	dur := d.Duration()
-	if stat.lookups == 0 || dur < stat.minDur {
-		stat.minDur = dur
-	}
-	stat.lookups++
+	r.resolvers[rs].observe(d.Duration())
 	if _, ok := r.dnsRank[d.Client]; !ok {
 		r.dnsRank[d.Client] = int32(len(r.dnsOrder))
 		r.dnsOrder = append(r.dnsOrder, d.Client)
@@ -443,7 +427,7 @@ func (r *streamRun) collect(ctx context.Context) (*AnalysisShard, error) {
 		return nil
 	}
 	consume := func(w clientWork) error {
-		c := r.classifyClient(w)
+		c := r.classifyWork(w)
 		mu.Lock()
 		sh.clients = append(sh.clients, c)
 		mu.Unlock()
@@ -518,72 +502,32 @@ func (r *streamRun) loadPartition(p int) (map[netip.Addr]*partitionRecs, []netip
 	return perClient, order, nil
 }
 
-// classifyClient pairs and classifies one client's connections against
-// its own lookups — the streaming twin of classifyShard, sharing
-// pairConn so the scan, tie-breaking, and RNG draw order are the same
-// code path. Indices in the result are client-local.
-func (r *streamRun) classifyClient(w clientWork) clientResult {
+// classifyWork runs the pairing kernel over one client's own record
+// slices (identity indices), with the per-record expiry and resolver
+// symbols derived here rather than from a dataset-wide sidecar.
+func (r *streamRun) classifyWork(w clientWork) clientResult {
 	c := clientResult{client: w.client, nDNS: int32(len(w.dns))}
 	if len(w.conns) == 0 {
 		return c
 	}
 	expiry := make([]time.Duration, len(w.dns))
+	rsym := make([]int32, len(w.dns))
 	for i := range w.dns {
 		expiry[i] = w.dns[i].ExpiresAt()
+		rsym[i] = r.rsyms[w.dns[i].Resolver]
 	}
-	idx := buildLocalIndex(w.dns, expiry)
-	rng := stats.NewRNG(r.opts.Seed + uint64(w.rank))
-	used := make([]bool, len(w.dns))
-	var fresh []int32
-	entries := make([]connEntry, len(w.conns))
-	for j := range w.conns {
-		conn := &w.conns[j]
-		e := &entries[j]
-		var l, cand int
-		l, cand, fresh = pairConn(r.opts.Pairing, idx, conn, rng, fresh)
-		if l < 0 {
-			e.localDNS, e.res = -1, -1
-			continue
-		}
-		d := &w.dns[l]
-		e.localDNS = int32(l)
-		e.gap = conn.TS - d.TS
-		e.candidates = int32(cand)
-		e.firstUse = !used[l]
-		used[l] = true
-		e.usedExpired = conn.TS >= expiry[l]
-		e.lookupDur = d.Duration()
-		e.res = r.rsyms[d.Resolver]
-	}
-	c.entries = entries
+	c.entries = classifyClient(&r.opts, int(w.rank), w.dns, expiry, rsym, w.conns,
+		identity(len(w.dns)), identity(len(w.conns)))
 	return c
 }
 
-// buildLocalIndex is buildShardIndex over a client-local record slice:
-// pairEnt indices address the slice itself rather than a dataset.
-func buildLocalIndex(dns []trace.DNSRecord, expiry []time.Duration) shardIndex {
-	total := 0
-	counts := make(map[netip.Addr]int32, len(dns))
-	for i := range dns {
-		for _, ans := range dns[i].Answers {
-			counts[ans.Addr]++
-			total++
-		}
+// identity returns the index list 0, 1, ..., n-1.
+func identity(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
 	}
-	backing := make([]pairEnt, total)
-	idx := make(shardIndex, len(counts))
-	off := int32(0)
-	for addr, n := range counts {
-		idx[addr] = backing[off : off : off+n]
-		off += n
-	}
-	for i := range dns {
-		ent := pairEnt{ts: dns[i].TS, expiry: expiry[i], idx: int32(i)}
-		for _, ans := range dns[i].Answers {
-			idx[ans.Addr] = append(idx[ans.Addr], ent)
-		}
-	}
-	return idx
+	return s
 }
 
 // publishMetrics records the streaming run's counters.

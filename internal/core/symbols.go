@@ -3,18 +3,17 @@ package core
 // Parallel symbol-sidecar construction. The sidecar build — query-name
 // interning, resolver numbering, TTL-expiry precomputation, and the
 // per-resolver (count, min-duration) stats the threshold derivation
-// needs — used to be a single serial pass over every DNS record, the
-// pipeline's longest serial stage after ingest. Here the pass is
-// chunked: each worker interns into a private table over a contiguous
-// slice of the records, and a cheap merge (proportional to the number
-// of distinct names, not records) renumbers the chunk-local symbols
-// into global first-appearance order.
+// needs — is chunked: each worker interns into a private table over a
+// contiguous slice of the records, and a cheap merge (proportional to
+// the number of distinct names, not records) renumbers the chunk-local
+// symbols into global first-appearance order. One worker is the
+// one-chunk case of the same build.
 //
 // Determinism is exact, not approximate: a chunk-local table's intern
 // order is the chunk's first-appearance order, so re-interning the
 // chunk tables in chunk order reproduces the global first-appearance
-// numbering the serial pass assigns — the merged sidecar is
-// bit-identical to the serial one at every worker count.
+// numbering a single serial pass assigns — the merged sidecar is
+// bit-identical at every worker count.
 
 import (
 	"context"
@@ -27,8 +26,8 @@ import (
 )
 
 // minParallelSymbols is the record count below which the chunked build's
-// merge overhead outweighs the parallelism; smaller inputs take the
-// serial pass regardless of the worker setting.
+// merge overhead outweighs the parallelism; smaller inputs build as a
+// single chunk regardless of the worker setting.
 const minParallelSymbols = 1 << 15
 
 // sidecars bundles the per-DNS-record symbol sidecar plus the fused
@@ -41,28 +40,43 @@ type sidecars struct {
 	qsym   []trace.Sym        // per record: query-name symbol
 	rsym   []int32            // per record: resolver symbol
 	expiry []time.Duration    // per record: precomputed ExpiresAt()
-	// resolverAddrs maps resolver symbols back to addresses in
-	// first-appearance order; resCounts/resMins are each resolver's
-	// lookup count and minimum observed duration — deriveThresholds'
-	// inputs, accumulated in the same pass instead of a separate walk.
-	resolverAddrs []netip.Addr
-	resCounts     []int
-	resMins       []time.Duration
-}
-
-// addResolver assigns the next resolver symbol.
-func (sc *sidecars) addResolver(addr netip.Addr) int32 {
-	rs := int32(len(sc.resolverAddrs))
-	sc.resolverAddrs = append(sc.resolverAddrs, addr)
-	sc.resCounts = append(sc.resCounts, 0)
-	sc.resMins = append(sc.resMins, 0)
-	return rs
+	// resolvers maps resolver symbols back to addresses in
+	// first-appearance order, each with its lookup count and minimum
+	// observed duration — deriveThresholds' input, accumulated in the
+	// same pass instead of a separate walk.
+	resolvers []resolverStat
 }
 
 // buildSidecars builds the sidecar bundle for dns. The result is a pure
 // function of the record order — identical for every workers value. The
 // only error is context cancellation.
 func buildSidecars(ctx context.Context, workers int, dns []trace.DNSRecord) (*sidecars, error) {
+	parts := parallel.Workers(workers)
+	if len(dns) < minParallelSymbols {
+		parts = 1
+	}
+	var sc *sidecars
+	var err error
+	// Label the build so profiles attribute intern/expiry samples to the
+	// stage; chunk workers inherit the label.
+	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "symbols"), func(context.Context) {
+		sc, err = buildSidecarChunks(ctx, parts, dns)
+	})
+	return sc, err
+}
+
+// symChunk is one worker's private intern state over a contiguous range
+// of records.
+type symChunk struct {
+	names     *trace.SymbolTable
+	resolvers []resolverStat
+}
+
+// buildSidecarChunks is the chunked build over up to parts contiguous
+// ranges: a parallel local pass, a serial merge over the (small) chunk
+// tables, and a parallel renumber pass. A single chunk's local numbering
+// already is the global one, so it is adopted as is.
+func buildSidecarChunks(ctx context.Context, parts int, dns []trace.DNSRecord) (*sidecars, error) {
 	n := len(dns)
 	sc := &sidecars{
 		names:  trace.NewSymbolTable(),
@@ -70,96 +84,44 @@ func buildSidecars(ctx context.Context, workers int, dns []trace.DNSRecord) (*si
 		rsym:   make([]int32, n),
 		expiry: make([]time.Duration, n),
 	}
-	var err error
-	// Label the build so profiles attribute intern/expiry samples to the
-	// stage; chunk workers inherit the label.
-	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "symbols"), func(context.Context) {
-		if w := parallel.Workers(workers); w > 1 && n >= minParallelSymbols {
-			err = sc.buildParallel(ctx, workers, dns)
-		} else {
-			sc.buildSerial(dns)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
-}
-
-// buildSerial is the reference single-pass build.
-func (sc *sidecars) buildSerial(dns []trace.DNSRecord) {
-	rsyms := make(map[netip.Addr]int32, 8) // a handful of resolver platforms
-	for i := range dns {
-		d := &dns[i]
-		sc.qsym[i] = sc.names.Intern(d.Query)
-		sc.expiry[i] = d.ExpiresAt()
-		rs, ok := rsyms[d.Resolver]
-		if !ok {
-			rs = sc.addResolver(d.Resolver)
-			rsyms[d.Resolver] = rs
-		}
-		sc.rsym[i] = rs
-		dur := d.Duration()
-		if sc.resCounts[rs] == 0 || dur < sc.resMins[rs] {
-			sc.resMins[rs] = dur
-		}
-		sc.resCounts[rs]++
-	}
-}
-
-// symChunk is one worker's private intern state over a contiguous range
-// of records.
-type symChunk struct {
-	names     *trace.SymbolTable
-	resAddrs  []netip.Addr
-	resCounts []int
-	resMins   []time.Duration
-}
-
-// buildParallel is the chunked build: a parallel local pass, a serial
-// merge over the (small) chunk tables, and a parallel renumber pass.
-func (sc *sidecars) buildParallel(ctx context.Context, workers int, dns []trace.DNSRecord) error {
-	parts := parallel.Chunks(len(dns), parallel.Workers(workers))
-	chunks := make([]symChunk, len(parts))
+	ranges := parallel.Chunks(n, parts)
+	chunks := make([]symChunk, len(ranges))
 
 	// Local pass: intern into the chunk's private table (local symbols
 	// land in qsym/rsym), compute expiries, and fuse the per-resolver
 	// count/min stats. Disjoint ranges, no shared writes.
-	err := parallel.ForEach(ctx, workers, len(parts), func(c int) error {
-		rg := parts[c]
+	err := parallel.ForEach(ctx, parts, len(ranges), func(c int) error {
+		rg := ranges[c]
 		ch := &chunks[c]
 		ch.names = trace.NewSymbolTable()
-		rsyms := make(map[netip.Addr]int32, 8)
+		rsyms := make(map[netip.Addr]int32, 8) // a handful of resolver platforms
 		for i := rg.Lo; i < rg.Hi; i++ {
 			d := &dns[i]
 			sc.qsym[i] = ch.names.Intern(d.Query)
 			sc.expiry[i] = d.ExpiresAt()
 			rs, ok := rsyms[d.Resolver]
 			if !ok {
-				rs = int32(len(ch.resAddrs))
+				rs = int32(len(ch.resolvers))
 				rsyms[d.Resolver] = rs
-				ch.resAddrs = append(ch.resAddrs, d.Resolver)
-				ch.resCounts = append(ch.resCounts, 0)
-				ch.resMins = append(ch.resMins, 0)
+				ch.resolvers = append(ch.resolvers, resolverStat{addr: d.Resolver})
 			}
 			sc.rsym[i] = rs
-			dur := d.Duration()
-			if ch.resCounts[rs] == 0 || dur < ch.resMins[rs] {
-				ch.resMins[rs] = dur
-			}
-			ch.resCounts[rs]++
+			ch.resolvers[rs].observe(d.Duration())
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if len(chunks) == 1 {
+		sc.names, sc.resolvers = chunks[0].names, chunks[0].resolvers
+		return sc, nil
 	}
 
 	// Merge: re-intern each chunk table in chunk order. A chunk table's
 	// order is its range's first-appearance order, so the global table
-	// comes out in whole-input first-appearance order — the same
-	// numbering the serial pass assigns. Cost is O(distinct names), not
-	// O(records).
+	// comes out in whole-input first-appearance order — the numbering a
+	// single pass assigns. Cost is O(distinct names), not O(records).
 	qremap := make([][]trace.Sym, len(chunks))
 	rremap := make([][]int32, len(chunks))
 	grsyms := make(map[netip.Addr]int32, 8)
@@ -170,26 +132,24 @@ func (sc *sidecars) buildParallel(ctx context.Context, workers int, dns []trace.
 			qm[j] = sc.names.Intern(ch.names.Name(trace.Sym(j)))
 		}
 		qremap[c] = qm
-		rm := make([]int32, len(ch.resAddrs))
-		for j, addr := range ch.resAddrs {
-			g, ok := grsyms[addr]
+		rm := make([]int32, len(ch.resolvers))
+		for j, rs := range ch.resolvers {
+			g, ok := grsyms[rs.addr]
 			if !ok {
-				g = sc.addResolver(addr)
-				grsyms[addr] = g
+				g = int32(len(sc.resolvers))
+				grsyms[rs.addr] = g
+				sc.resolvers = append(sc.resolvers, resolverStat{addr: rs.addr})
 			}
 			rm[j] = g
-			if sc.resCounts[g] == 0 || ch.resMins[j] < sc.resMins[g] {
-				sc.resMins[g] = ch.resMins[j]
-			}
-			sc.resCounts[g] += ch.resCounts[j]
+			sc.resolvers[g].add(rs)
 		}
 		rremap[c] = rm
 	}
 
 	// Renumber pass: rewrite the chunk-local symbols in place through the
 	// per-chunk remap tables. Disjoint ranges again.
-	return parallel.ForEach(ctx, workers, len(parts), func(c int) error {
-		rg := parts[c]
+	err = parallel.ForEach(ctx, parts, len(ranges), func(c int) error {
+		rg := ranges[c]
 		qm, rm := qremap[c], rremap[c]
 		for i := rg.Lo; i < rg.Hi; i++ {
 			sc.qsym[i] = qm[sc.qsym[i]]
@@ -197,4 +157,8 @@ func (sc *sidecars) buildParallel(ctx context.Context, workers int, dns []trace.
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return sc, nil
 }

@@ -39,10 +39,10 @@ func TestExplicitUDPTransportMatchesGolden(t *testing.T) {
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
 			a := analyzeCopy(ds, opts)
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
-			if report != want.report || paired != want.paired || checkpoint != want.checkpoint {
+			report, paired, shard := hashAnalysis(t, a, eco.Profiles)
+			if report != want.report || paired != want.paired || shard != want.shard {
 				t.Errorf("pairing=%v workers=%d: explicit udp transport broke golden parity: %#016x/%#016x/%#016x",
-					pairing, workers, report, paired, checkpoint)
+					pairing, workers, report, paired, shard)
 			}
 		}
 	}
@@ -79,12 +79,12 @@ func TestTransportMatrixDigestParity(t *testing.T) {
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
 			a := analyzeCopy(ds, opts)
-			report, paired, checkpoint := hashAnalysis(t, a, eco.Profiles)
+			report, paired, shard := hashAnalysis(t, a, eco.Profiles)
 			if i == 0 {
-				base = [3]uint64{report, paired, checkpoint}
+				base = [3]uint64{report, paired, shard}
 				continue
 			}
-			if base != [3]uint64{report, paired, checkpoint} {
+			if base != [3]uint64{report, paired, shard} {
 				t.Errorf("transport=%s resume=%v workers=%d: digests diverged from workers=1",
 					cell.kind, cell.resume, workers)
 			}

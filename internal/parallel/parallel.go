@@ -1,13 +1,14 @@
 // Package parallel provides the concurrency building blocks behind the
 // analysis pipeline: a bounded worker pool with cooperative cancellation
 // (ForEach / Map), a deterministic sharder that partitions index ranges
-// by key (ShardBy), and contiguous chunking for order-preserving merges
-// (Chunks).
+// by key (ShardByParallel), and contiguous chunking for order-preserving
+// merges (Chunks).
 //
-// Determinism is the package's contract. ShardBy orders shards by first
-// appearance, so the same input always yields the same shard IDs; Map
-// returns results positionally, so merging in index order reproduces the
-// sequential result no matter how the scheduler interleaved the workers.
+// Determinism is the package's contract. ShardByParallel orders shards
+// by first appearance, so the same input always yields the same shard
+// IDs; Map returns results positionally, so merging in index order
+// reproduces the sequential result no matter how the scheduler
+// interleaved the workers.
 package parallel
 
 import (
@@ -342,38 +343,34 @@ func Chunks(n, parts int) []Range {
 	return out
 }
 
-// Shard is one partition produced by ShardBy: the shared key and the
-// member indices in ascending order.
+// Shard is one partition produced by ShardByParallel: the shared key and
+// the member indices in ascending order.
 type Shard[K comparable] struct {
 	Key   K
 	Items []int32
 }
 
-// ShardBy partitions the indices [0, n) by key(i). Shards are ordered by
-// the first appearance of their key, and each shard's Items are
-// ascending, so the result — and therefore any shard-ID-derived state
-// such as per-shard RNG streams — is a deterministic function of the
-// input alone.
-//
-// A counting pass sizes every shard before any Items are stored: the
-// member slices are carved from one n-element backing array, so the
-// whole partition costs one map, one count slice, and one backing
-// allocation instead of per-shard append-growth.
 // minShardByChunk is the fewest items per counting-pass chunk worth a
-// goroutine in ShardByParallel; below it the serial ShardBy wins on
-// constant factors.
+// goroutine in ShardByParallel; smaller inputs run as a single chunk.
 const minShardByChunk = 4096
 
-// ShardByParallel is ShardBy computed with up to `workers` goroutines;
-// its result is identical to ShardBy's for every worker count. Each
-// chunk of the index range counts keys into a local table whose keys
-// land in chunk-local first-appearance order; because chunks are
+// ShardByParallel partitions the indices [0, n) by key(i) with up to
+// `workers` goroutines. Shards are ordered by the first appearance of
+// their key, and each shard's Items are ascending, so the result — and
+// therefore any shard-ID-derived state such as per-shard RNG streams —
+// is a deterministic function of the input alone, identical for every
+// worker count.
+//
+// Each chunk of the index range counts keys into a local table whose
+// keys land in chunk-local first-appearance order; because chunks are
 // contiguous and merged in slice order, a key's global rank — set by
 // the first chunk that saw it — equals its first-appearance rank over
-// the whole range, which is ShardBy's ordering contract. The fill pass
-// then writes every chunk into precomputed disjoint windows of one
-// shared backing array, so each shard's Items are ascending exactly as
-// the serial pass produces them.
+// the whole range. The fill pass then writes every chunk into
+// precomputed disjoint windows of one shared n-element backing array,
+// so the whole partition costs one backing allocation instead of
+// per-shard append-growth, and each shard's Items come out ascending.
+// A single worker (or a small input) is the one-chunk case of the same
+// code.
 //
 // The only failure mode is context cancellation.
 func ShardByParallel[K comparable](ctx context.Context, workers, n int, key func(int) K) ([]Shard[K], error) {
@@ -381,11 +378,11 @@ func ShardByParallel[K comparable](ctx context.Context, workers, n int, key func
 	if parts := n / minShardByChunk; w > parts {
 		w = parts
 	}
-	if w <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return ShardBy(n, key), nil
+	if n <= 0 {
+		return nil, ctx.Err()
+	}
+	if w < 1 {
+		w = 1
 	}
 	chunks := Chunks(n, w)
 	type local struct {
@@ -471,36 +468,4 @@ func ShardByParallel[K comparable](ctx context.Context, workers, n int, key func
 		shards[p] = Shard[K]{Key: gkeys[p], Items: backing[starts[p]:starts[p+1]:starts[p+1]]}
 	}
 	return shards, nil
-}
-
-func ShardBy[K comparable](n int, key func(int) K) []Shard[K] {
-	if n <= 0 {
-		return nil
-	}
-	pos := make(map[K]int)
-	var keys []K
-	var counts []int32
-	for i := 0; i < n; i++ {
-		k := key(i)
-		p, ok := pos[k]
-		if !ok {
-			p = len(keys)
-			pos[k] = p
-			keys = append(keys, k)
-			counts = append(counts, 0)
-		}
-		counts[p]++
-	}
-	backing := make([]int32, n)
-	shards := make([]Shard[K], len(keys))
-	off := int32(0)
-	for p := range shards {
-		shards[p] = Shard[K]{Key: keys[p], Items: backing[off : off : off+counts[p]]}
-		off += counts[p]
-	}
-	for i := 0; i < n; i++ {
-		p := pos[key(i)]
-		shards[p].Items = append(shards[p].Items, int32(i))
-	}
-	return shards
 }

@@ -151,9 +151,33 @@ func TestChunksCoverContiguously(t *testing.T) {
 	}
 }
 
+// ShardBy is the straightforward serial partition ShardByParallel must
+// reproduce: shards in key first-appearance order, Items ascending.
+func ShardBy[K comparable](n int, key func(int) K) []Shard[K] {
+	if n <= 0 {
+		return nil
+	}
+	pos := make(map[K]int)
+	var shards []Shard[K]
+	for i := 0; i < n; i++ {
+		k := key(i)
+		p, ok := pos[k]
+		if !ok {
+			p = len(shards)
+			pos[k] = p
+			shards = append(shards, Shard[K]{Key: k})
+		}
+		shards[p].Items = append(shards[p].Items, int32(i))
+	}
+	return shards
+}
+
 func TestShardByDeterministicOrder(t *testing.T) {
 	keys := []string{"b", "a", "b", "c", "a", "b"}
-	shards := ShardBy(len(keys), func(i int) string { return keys[i] })
+	shards, err := ShardByParallel(context.Background(), 1, len(keys), func(i int) string { return keys[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(shards) != 3 {
 		t.Fatalf("got %d shards", len(shards))
 	}
