@@ -22,7 +22,8 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzWriteDNS \
 	./internal/trace:FuzzWriteConns \
 	./internal/bulk:FuzzFeed \
-	./internal/core:FuzzReadShardFile
+	./internal/core:FuzzReadShardFile \
+	./internal/dnswire:FuzzDecode
 
 .PHONY: loc check vet build test race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
 
@@ -98,9 +99,10 @@ chaos:
 	DNSCTX_CHAOS_NAMES=$(CHAOSNAMES) $(GO) test ./internal/bulk -race \
 		-run='^TestChaosSoak$$|^TestResumeAfterKill$$' -count=1 -timeout=10m -v
 
-# Short-budget coverage-guided fuzzing of the trace codecs and the bulk
-# feed reader. Go allows one -fuzz target per invocation, so loop over
-# package:function pairs.
+# Short-budget coverage-guided fuzzing of the trace codecs, the bulk
+# feed reader, the shard file reader, and the DNS message decoder. Go
+# allows one -fuzz target per invocation, so loop over package:function
+# pairs.
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; t=$${pt##*:}; \

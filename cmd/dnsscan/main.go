@@ -62,11 +62,11 @@ func main() {
 		server     = flag.String("server", "", "live server address (with -backend udp/tcp)")
 		servers    = flag.String("servers", "", "comma-separated live upstreams for multi-upstream failover (udp backend)")
 		selfserve  = flag.Bool("selfserve", false, "start an in-process dnsserver on 127.0.0.1:0 and scan against it")
-		sockets    = flag.Int("sockets", 8, "UDP sockets to shard the live client across")
+		sockets    = flag.Int("sockets", 8, "UDP sockets to shard the live client across (udp backend)")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-attempt timeout on the live path")
 		retries    = flag.Int("retries", 2, "additional attempts on the live path")
-		backoff    = flag.Float64("backoff", 1.5, "per-retry timeout multiplier on the live path")
-		maxTimeout = flag.Duration("max-timeout", 0, "cap on any attempt's timeout (and the adaptive ceiling); 0 = uncapped")
+		backoff    = flag.Float64("backoff", 1.5, "per-retry timeout multiplier (udp backend)")
+		maxTimeout = flag.Duration("max-timeout", 0, "cap on any attempt's timeout, the first included, and the adaptive ceiling; 0 = uncapped (udp backend)")
 
 		adaptive   = flag.Bool("adaptive-timeout", false, "RFC 6298 adaptive per-attempt timeouts (SRTT/RTTVAR per upstream; udp backend)")
 		hedge      = flag.Bool("hedge", false, "send a hedged second request after the latency horizon (udp backend)")
@@ -119,6 +119,20 @@ func main() {
 	}
 	if *backend != "udp" && (*servers != "" || *adaptive || *hedge || *breaker) {
 		usage("-servers/-adaptive-timeout/-hedge/-breaker are client-pool features: -backend udp only")
+	}
+	// Ladder and socket flags the backend would silently ignore: the sim
+	// path runs each platform's own retry policy, and the TCP client's
+	// ladder is flat over one connection per attempt.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ignored := map[string][]string{
+		"sim": {"timeout", "retries", "backoff", "max-timeout", "sockets"},
+		"tcp": {"backoff", "max-timeout", "sockets"},
+	}
+	for _, name := range ignored[*backend] {
+		if set[name] {
+			usage("-%s does not apply to -backend %s", name, *backend)
+		}
 	}
 	if *ckptPath != "" && *backend == "sim" {
 		usage("-checkpoint applies to the live path (sim runs re-run deterministically)")

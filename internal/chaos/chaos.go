@@ -67,27 +67,11 @@ func (p Profile) IsZero() bool {
 		p.Duplicate <= 0 && p.Corrupt <= 0 && len(p.Blackholes) == 0 && p.TCPReset <= 0
 }
 
-// blackholeAt reports whether elapsed falls inside a scheduled
-// blackhole window.
-func (p Profile) blackholeAt(elapsed time.Duration) bool {
-	for _, w := range p.Blackholes {
-		if w.Contains(elapsed) {
-			return true
-		}
-	}
-	return false
-}
-
-// blackholeEnd returns the end of the window containing elapsed (the
-// latest end among overlapping windows), for TCP stalls.
-func (p Profile) blackholeEnd(elapsed time.Duration) time.Duration {
-	end := elapsed
-	for _, w := range p.Blackholes {
-		if w.Contains(elapsed) && w.End > end {
-			end = w.End
-		}
-	}
-	return end
+// faults is the part of the profile netsim.FaultProfile already models —
+// loss, jitter, and outage windows — so both fault layers draw them
+// through one implementation.
+func (p Profile) faults() netsim.FaultProfile {
+	return netsim.FaultProfile{Loss: p.Loss, ExtraJitter: p.Jitter, Outages: p.Blackholes}
 }
 
 // Config parameterizes a proxy.
@@ -212,39 +196,34 @@ func newLane(seed uint64, dir string, c *counters) *lane {
 	}
 }
 
-// decide draws one delivery's fate. Zero-probability faults consume no
-// randomness (matching netsim.FaultProfile), so enabling one fault does
-// not perturb another's sequence.
+// decide draws one delivery's fate. Outages, loss, and jitter draw
+// through netsim.FaultProfile; the faults only real sockets have follow.
+// Zero-probability faults consume no randomness (RNG.Bool(p≤0) draws
+// nothing), so enabling one fault does not perturb another's sequence.
 func (l *lane) decide(p Profile, elapsed time.Duration) fate {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var f fate
-	if p.blackholeAt(elapsed) {
+	fp := p.faults()
+	if fp.OutageAt(elapsed) {
 		f.blackhole = true
 		return f // no randomness consumed during an outage, as in netsim
 	}
-	if p.Loss > 0 && l.rng.Bool(p.Loss) {
+	if fp.Lost(elapsed, l.rng) {
 		f.drop = true
 		return f
 	}
-	if p.Duplicate > 0 {
-		f.dup = l.rng.Bool(p.Duplicate)
-	}
-	if p.Corrupt > 0 && l.rng.Bool(p.Corrupt) {
+	f.dup = l.rng.Bool(p.Duplicate)
+	if l.rng.Bool(p.Corrupt) {
 		f.corrupt = true
 		f.corruptAt = int(l.rng.Uint64n(1 << 16))
 	}
-	f.delay = p.Delay
-	if p.Jitter > 0 {
-		f.delay += time.Duration(float64(p.Jitter) * l.rng.ExpFloat64())
-	}
-	if p.Reorder > 0 && l.rng.Bool(p.Reorder) {
+	f.delay = p.Delay + fp.Jitter(l.rng)
+	if l.rng.Bool(p.Reorder) {
 		f.reorder = true
 		f.delay += 2*(p.Delay+p.Jitter) + time.Millisecond
 	}
-	if p.TCPReset > 0 && l.rng.Bool(p.TCPReset) {
-		f.reset = true
-	}
+	f.reset = l.rng.Bool(p.TCPReset)
 	return f
 }
 

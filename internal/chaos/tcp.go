@@ -70,7 +70,7 @@ func (p *Proxy) pumpTCP(l *lane, src, dst net.Conn) {
 				// stall until the window passes (or the proxy closes).
 				p.cnt.blackholed.Add(1)
 				l.dropBlack.Inc()
-				if !p.sleep(p.cfg.Profile.blackholeEnd(p.elapsed()) - p.elapsed()) {
+				if !p.sleep(p.cfg.Profile.faults().OutageEnd(p.elapsed()) - p.elapsed()) {
 					return
 				}
 			}

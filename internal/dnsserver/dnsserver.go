@@ -23,6 +23,7 @@ import (
 
 	"dnscontext/internal/dnswire"
 	"dnscontext/internal/obs"
+	"dnscontext/internal/resolver"
 	"dnscontext/internal/zonedb"
 )
 
@@ -195,25 +196,43 @@ func (s *Server) worker(conn *net.UDPConn) {
 }
 
 func (s *Server) handlePacket(conn *net.UDPConn, pkt packet) {
-	msg, err := dnswire.Decode(pkt.data)
+	// A datagram that does not decode is garbage: drop it, as real
+	// servers do.
+	if out, _ := s.answer(pkt.data, pkt.peer.IP); out != nil {
+		_, _ = conn.WriteToUDP(out, pkt.peer)
+	}
+}
+
+// answer is the path every received query takes, over UDP and TCP alike:
+// decode, rate limiter, handler (SERVFAIL on nil), encode, and the
+// per-RCode count. It returns the wire response, or nil when there is
+// nothing to send; the error is non-nil only when data does not decode,
+// which each transport handles its own way. client may be nil when the
+// peer address is unknown, which bypasses the rate limiter.
+func (s *Server) answer(data []byte, client net.IP) ([]byte, error) {
+	msg, err := dnswire.Decode(data)
 	if err != nil {
 		s.metrics.decodeErrs.Inc()
-		return // drop garbage, as real servers do
+		return nil, err
 	}
 	if msg.Header.Response || len(msg.Questions) == 0 {
 		s.metrics.dropped.Inc()
-		return
+		return nil, nil
 	}
-	if s.limiter != nil && !s.limiter.allow(pkt.peer.IP, time.Now()) {
+	var resp *dnswire.Message
+	if s.limiter != nil && client != nil && !s.limiter.allow(client, time.Now()) {
 		s.metrics.refused.Inc()
-		s.respond(conn, dnswire.NewResponse(msg, dnswire.RCodeRefused), pkt.peer)
-		return
-	}
-	resp := s.invoke(msg)
-	if resp == nil {
+		resp = dnswire.NewResponse(msg, dnswire.RCodeRefused)
+	} else if resp = s.invoke(msg); resp == nil {
 		resp = dnswire.NewResponse(msg, dnswire.RCodeServFail)
 	}
-	s.respond(conn, resp, pkt.peer)
+	out, err := resp.Encode()
+	if err != nil {
+		s.metrics.encodeErrs.Inc()
+		return nil, nil
+	}
+	s.metrics.response(resp.Header.RCode).Inc()
+	return out, nil
 }
 
 // invoke runs the handler with panic recovery: a panicking handler
@@ -226,16 +245,6 @@ func (s *Server) invoke(msg *dnswire.Message) (resp *dnswire.Message) {
 		}
 	}()
 	return s.handler.Handle(msg)
-}
-
-func (s *Server) respond(conn *net.UDPConn, resp *dnswire.Message, peer *net.UDPAddr) {
-	out, err := resp.Encode()
-	if err != nil {
-		s.metrics.encodeErrs.Inc()
-		return
-	}
-	s.metrics.response(resp.Header.RCode).Inc()
-	_, _ = conn.WriteToUDP(out, peer)
 }
 
 // Queries returns the number of datagrams received so far.
@@ -347,13 +356,15 @@ func ZoneHandler(zones *zonedb.DB) Handler {
 	})
 }
 
-// Client is a stub resolver speaking plain UDP DNS.
+// Client is a stub resolver speaking plain UDP DNS (Query) or one
+// connection per attempt over TCP (QueryTCP).
 type Client struct {
 	// Server is the resolver address ("127.0.0.1:5353").
 	Server string
 	// Timeout bounds each attempt (default 2 s).
 	Timeout time.Duration
-	// Retries is the number of additional attempts (default 2).
+	// Retries is the number of additional attempts (zero or negative:
+	// none).
 	Retries int
 
 	mu     sync.Mutex
@@ -368,37 +379,60 @@ var (
 
 // Query sends one question and returns the decoded response. Responses
 // with mismatched IDs are ignored (off-path spoofing hygiene); timeouts
-// are retried.
+// are retried; a response answering a different question is
+// ErrMismatch, without retry.
 func (c *Client) Query(name string, qtype dnswire.Type) (*dnswire.Message, error) {
+	return c.exchange(name, qtype, c.attempt)
+}
+
+// exchange walks the client's flat retry ladder (resolver.RetryPolicy
+// with Timeout and Retries) over one per-attempt function, re-sending
+// the same encoded query. Silence and transport errors retry; a
+// mismatched answer or a reset stream ends the ladder, since the server
+// is alive and would answer the same way again.
+func (c *Client) exchange(name string, qtype dnswire.Type, try func(wire []byte, id uint16, name string, timeout time.Duration) (*dnswire.Message, error)) (*dnswire.Message, error) {
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	attempts := c.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
+	ladder := resolver.RetryPolicy{Timeout: timeout, MaxRetries: c.Retries}
 
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
 
-	q := dnswire.NewQuery(id, name, qtype)
-	wire, err := q.Encode()
+	wire, err := dnswire.NewQuery(id, name, qtype).Encode()
 	if err != nil {
 		return nil, err
 	}
-
 	var lastErr error = ErrTimeout
-	for i := 0; i < attempts; i++ {
-		resp, err := c.attempt(wire, id, name, timeout)
+	for i := 0; i < ladder.Attempts(); i++ {
+		resp, err := try(wire, id, name, ladder.AttemptTimeout(i))
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
+		if errors.Is(err, ErrMismatch) || errors.Is(err, ErrReset) {
+			break
+		}
 	}
 	return nil, lastErr
+}
+
+// matchResponse classifies a decoded message against the query (id,
+// name) it may answer. ours is false for anything that is not a response
+// to id: the caller keeps waiting. A response to id whose question is
+// not name is ErrMismatch.
+func matchResponse(msg *dnswire.Message, id uint16, name string) (ours bool, err error) {
+	if msg.Header.ID != id || !msg.Header.Response {
+		return false, nil
+	}
+	if len(msg.Questions) == 0 ||
+		dnswire.CanonicalName(msg.Questions[0].Name) != dnswire.CanonicalName(name) {
+		return true, ErrMismatch
+	}
+	return true, nil
 }
 
 func (c *Client) attempt(wire []byte, id uint16, name string, timeout time.Duration) (*dnswire.Message, error) {
@@ -424,13 +458,11 @@ func (c *Client) attempt(wire []byte, id uint16, name string, timeout time.Durat
 		if err != nil {
 			continue // garbage datagram; keep waiting
 		}
-		if msg.Header.ID != id || !msg.Header.Response {
-			continue // not ours
+		if ours, err := matchResponse(msg, id, name); ours {
+			if err != nil {
+				return nil, err
+			}
+			return msg, nil
 		}
-		if len(msg.Questions) == 0 ||
-			dnswire.CanonicalName(msg.Questions[0].Name) != dnswire.CanonicalName(name) {
-			return nil, ErrMismatch
-		}
-		return msg, nil
 	}
 }

@@ -252,3 +252,51 @@ func TestCloseIdempotentAndUnblocks(t *testing.T) {
 		_ = err
 	}
 }
+
+// TestClientMismatchEndsLadder: a response answering a different
+// question is ErrMismatch after exactly one send, over UDP and TCP. The
+// server is alive and would give the same answer again, so the client
+// must not spend its retries re-asking.
+func TestClientMismatchEndsLadder(t *testing.T) {
+	other := HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
+		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
+		resp.Questions[0].Name = "other.example"
+		return resp
+	})
+	for _, tc := range []struct {
+		name  string
+		start func(*Server) (string, error)
+		query func(*Client) (*dnswire.Message, error)
+	}{
+		{"udp", func(s *Server) (string, error) {
+			a, err := s.Start("127.0.0.1:0")
+			if err != nil {
+				return "", err
+			}
+			return a.String(), nil
+		}, func(c *Client) (*dnswire.Message, error) { return c.Query("www.example.com", dnswire.TypeA) }},
+		{"tcp", func(s *Server) (string, error) {
+			a, err := s.StartTCP("127.0.0.1:0")
+			if err != nil {
+				return "", err
+			}
+			return a.String(), nil
+		}, func(c *Client) (*dnswire.Message, error) { return c.QueryTCP("www.example.com", dnswire.TypeA) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(other)
+			addr, err := tc.start(srv)
+			if err != nil {
+				t.Skipf("cannot bind loopback: %v", err)
+			}
+			defer srv.Close()
+			c := &Client{Server: addr, Timeout: time.Second, Retries: 2}
+			if _, err := tc.query(c); !errors.Is(err, ErrMismatch) {
+				t.Fatalf("err = %v, want ErrMismatch", err)
+			}
+			if got := srv.Queries(); got != 1 {
+				t.Fatalf("server received %d queries, want 1 (no retry after a mismatch)", got)
+			}
+		})
+	}
+}

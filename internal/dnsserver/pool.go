@@ -11,6 +11,7 @@ import (
 
 	"dnscontext/internal/dnswire"
 	"dnscontext/internal/obs"
+	"dnscontext/internal/resolver"
 )
 
 // Client-side sharded sockets. The basic Client opens a fresh UDP socket
@@ -44,8 +45,9 @@ var (
 
 // ClientPoolConfig parameterizes a ClientPool. The zero value gets
 // sensible defaults: one upstream, 4 sockets per upstream, 2 s
-// per-attempt timeout, 2 retries, flat backoff, no adaptive timeouts,
-// no hedging, no circuit breaker.
+// per-attempt timeout, no retries, flat backoff, no adaptive timeouts,
+// no hedging, no circuit breaker. Timeout, Retries, Backoff, and
+// MaxTimeout describe a resolver.RetryPolicy ladder.
 type ClientPoolConfig struct {
 	// Sockets is the number of UDP sockets to shard queries across per
 	// upstream (default 4). More sockets spread kernel socket-buffer
@@ -56,12 +58,12 @@ type ClientPoolConfig struct {
 	// it is the initial RTO before any sample and the RTO ceiling when
 	// MaxTimeout is unset.
 	Timeout time.Duration
-	// Retries is the number of additional attempts (default 2). Each
-	// retry moves to the next socket — and, with multiple Servers, the
-	// next upstream — and re-sends under a fresh ID.
+	// Retries is the number of additional attempts (zero or negative:
+	// none). Each retry moves to the next socket — and, with multiple
+	// Servers, the next upstream — and re-sends under a fresh ID.
 	Retries int
 	// Backoff multiplies the timeout after each failed attempt; values
-	// below 1 are treated as 1 (flat), mirroring resolver.RetryPolicy.
+	// below 1 are treated as 1 (flat), as in resolver.RetryPolicy.
 	// Adaptive mode floors the factor at 2 (RFC 6298 doubles the RTO on
 	// retransmission).
 	Backoff float64
@@ -112,63 +114,30 @@ func (c ClientPoolConfig) withDefaults() ClientPoolConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.Backoff < 1 {
-		c.Backoff = 1
-	}
 	if c.MinTimeout <= 0 {
 		c.MinTimeout = 20 * time.Millisecond
 	}
 	return c
 }
 
-// attemptTimeout returns the fixed ladder's timeout for the given
-// 0-based attempt: Timeout·Backoff^attempt, with MaxTimeout capping
-// every attempt including the first (so MaxTimeout < Timeout means
-// every attempt waits MaxTimeout). Backoff exactly 1 yields a flat
-// ladder. Call on a defaulted config.
-func (c ClientPoolConfig) attemptTimeout(attempt int) time.Duration {
-	d := c.Timeout
-	if c.MaxTimeout > 0 && d > c.MaxTimeout {
-		return c.MaxTimeout
-	}
-	for i := 0; i < attempt; i++ {
-		d = time.Duration(float64(d) * c.Backoff)
-		if c.MaxTimeout > 0 && d > c.MaxTimeout {
-			return c.MaxTimeout
-		}
-	}
-	return d
+// ladder is the fixed retry ladder the config describes: resolver's
+// RetryPolicy over Timeout, Retries, Backoff, and MaxTimeout. Call on a
+// defaulted config.
+func (c ClientPoolConfig) ladder() resolver.RetryPolicy {
+	return resolver.RetryPolicy{Timeout: c.Timeout, MaxRetries: c.Retries, Backoff: c.Backoff, MaxTimeout: c.MaxTimeout}
 }
 
 // adaptiveTimeout returns the adaptive per-attempt timeout from a base
-// RTO: RTO·factor^attempt with factor = max(Backoff, 2), clamped to
-// [MinTimeout, MaxTimeout or Timeout]. Call on a defaulted config.
+// RTO: the same ladder started at the RTO, with factor max(Backoff, 2)
+// and ceiling MaxTimeout (or Timeout when unset), then clamped to
+// [MinTimeout, ceiling]. Call on a defaulted config.
 func (c ClientPoolConfig) adaptiveTimeout(rto time.Duration, attempt int) time.Duration {
-	factor := c.Backoff
-	if factor < 2 {
-		factor = 2
-	}
 	ceil := c.MaxTimeout
 	if ceil <= 0 {
 		ceil = c.Timeout
 	}
-	d := rto
-	for i := 0; i < attempt; i++ {
-		d = time.Duration(float64(d) * factor)
-		if d >= ceil {
-			break
-		}
-	}
-	if d < c.MinTimeout {
-		d = c.MinTimeout
-	}
-	if d > ceil {
-		d = ceil
-	}
-	return d
+	d := resolver.RetryPolicy{Timeout: rto, Backoff: max(c.Backoff, 2), MaxTimeout: ceil}.AttemptTimeout(attempt)
+	return min(max(d, c.MinTimeout), ceil)
 }
 
 // poolMetrics is the pool's instrument set; every field is nil-safe, so
@@ -534,7 +503,7 @@ func (p *ClientPool) timeoutFor(up *upstream, attempt int) time.Duration {
 			return p.cfg.adaptiveTimeout(rto, attempt)
 		}
 	}
-	return p.cfg.attemptTimeout(attempt)
+	return p.cfg.ladder().AttemptTimeout(attempt)
 }
 
 // hedgeDelay is how long the first attempt waits before sending a
@@ -566,9 +535,10 @@ func (p *ClientPool) Query(ctx context.Context, name string, qtype dnswire.Type)
 	defer p.inflight.Add(-1)
 
 	base := p.next.Add(1)
+	ladder := p.cfg.ladder()
 	var lastErr error = ErrTimeout
 	var prev *upstream
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
+	for attempt := 0; attempt < ladder.Attempts(); attempt++ {
 		up, probe := p.pick(base, attempt)
 		if up == nil {
 			// Every breaker is open. Failing fast here would let a scan's
@@ -577,7 +547,7 @@ func (p *ClientPool) Query(ctx context.Context, name string, qtype dnswire.Type)
 			// waiting is strictly better. Block (up to this attempt's fixed
 			// ladder budget) for a half-open slot; a successful probe then
 			// reopens the floodgates for everyone.
-			up, probe = p.waitAdmit(ctx, base, attempt, p.cfg.attemptTimeout(attempt))
+			up, probe = p.waitAdmit(ctx, base, attempt, ladder.AttemptTimeout(attempt))
 			if up == nil {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -690,12 +660,12 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 				hsock.abandon(hid)
 				hup.release(hprobe)
 			}
-			return p.deliver(up, probe, msg, name, time.Since(sent))
+			return p.deliver(up, probe, msg, id, name, time.Since(sent))
 		case msg := <-hch():
 			s.abandon(id)
 			up.release(probe)
 			p.met.hedgeWins.Inc()
-			return p.deliver(hup, hprobe, msg, name, time.Since(hsent))
+			return p.deliver(hup, hprobe, msg, hid, name, time.Since(hsent))
 		case <-hedgeC:
 			hedgeC = nil
 			h, hp := p.pickHedge(up)
@@ -751,12 +721,11 @@ func (p *ClientPool) attempt(ctx context.Context, up *upstream, probe bool, name
 // and breaker, and hands the message back. A response answering a
 // different question is ErrMismatch and ends the ladder (the server is
 // alive — retrying would get the same answer).
-func (p *ClientPool) deliver(up *upstream, probe bool, msg *dnswire.Message, name string, rtt time.Duration) (*dnswire.Message, error, bool) {
+func (p *ClientPool) deliver(up *upstream, probe bool, msg *dnswire.Message, id uint16, name string, rtt time.Duration) (*dnswire.Message, error, bool) {
 	up.observeRTT(rtt)
 	up.ok(probe)
-	if len(msg.Questions) == 0 ||
-		dnswire.CanonicalName(msg.Questions[0].Name) != dnswire.CanonicalName(name) {
-		return nil, ErrMismatch, true
+	if _, err := matchResponse(msg, id, name); err != nil {
+		return nil, err, true
 	}
 	return msg, nil, true
 }

@@ -259,11 +259,11 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines %d, baseline %d — pool leaked readers", runtime.NumGoroutine(), before)
 }
 
-// TestAttemptTimeoutLadder pins the fixed retry ladder's arithmetic,
-// including the edges that historically invite off-by-one clamps: the
-// product MaxTimeout·Backoff (the cap must bind, not the product),
-// MaxTimeout below Timeout (every attempt, including the first, waits
-// only MaxTimeout), and Backoff exactly 1.0 (a flat ladder, no drift).
+// TestAttemptTimeoutLadder pins that a pool config maps onto the one
+// retry ladder, resolver.RetryPolicy (whose arithmetic TestRetryLadder
+// pins): the pool waits exactly the ladder's per-attempt timeouts,
+// including a defaulted Timeout, MaxTimeout below Timeout capping the
+// first attempt, and Backoff at or below 1 staying flat.
 func TestAttemptTimeoutLadder(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	cases := []struct {
@@ -301,12 +301,20 @@ func TestAttemptTimeoutLadder(t *testing.T) {
 			cfg:  ClientPoolConfig{Timeout: ms(100), Backoff: 0.5},
 			want: []time.Duration{ms(100), ms(100), ms(100)},
 		},
+		{
+			name: "zero Timeout defaults to 2s",
+			cfg:  ClientPoolConfig{Retries: 1, Backoff: 2},
+			want: []time.Duration{2 * time.Second, 4 * time.Second},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
+			ladder := tc.cfg.withDefaults().ladder()
+			if got, want := ladder.Attempts(), max(tc.cfg.Retries, 0)+1; got != want {
+				t.Errorf("attempts %d, want %d", got, want)
+			}
 			for attempt, want := range tc.want {
-				if got := cfg.attemptTimeout(attempt); got != want {
+				if got := ladder.AttemptTimeout(attempt); got != want {
 					t.Errorf("attempt %d: %v, want %v", attempt, got, want)
 				}
 			}

@@ -81,32 +81,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // client closed (or a broken stream); either way, done
 		}
 		s.metrics.received.Inc()
-		msg, err := dnswire.Decode(frame)
+		out, err := s.answer(frame, clientIP)
 		if err != nil {
-			s.metrics.decodeErrs.Inc()
 			return // a desynchronized stream cannot recover; drop it
 		}
-		if msg.Header.Response || len(msg.Questions) == 0 {
-			s.metrics.dropped.Inc()
-			continue
-		}
-		var resp *dnswire.Message
-		if s.limiter != nil && clientIP != nil && !s.limiter.allow(clientIP, time.Now()) {
-			s.metrics.refused.Inc()
-			resp = dnswire.NewResponse(msg, dnswire.RCodeRefused)
-		} else {
-			resp = s.invoke(msg)
-			if resp == nil {
-				resp = dnswire.NewResponse(msg, dnswire.RCodeServFail)
-			}
-		}
-		out, err := resp.Encode()
-		if err != nil {
-			s.metrics.encodeErrs.Inc()
-			continue
-		}
-		s.metrics.response(resp.Header.RCode).Inc()
-		if err := dnswire.WriteTCPFrame(conn, out); err != nil {
+		if out != nil && dnswire.WriteTCPFrame(conn, out) != nil {
 			return
 		}
 	}
@@ -161,38 +140,7 @@ var ErrReset = errors.New("dnsserver: connection reset mid-exchange")
 // reuses streams — callers needing connection reuse at scale should
 // drive the UDP ClientPool or hold their own persistent conns.
 func (c *Client) QueryTCP(name string, qtype dnswire.Type) (*dnswire.Message, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	attempts := c.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-
-	q := dnswire.NewQuery(id, name, qtype)
-	wire, err := q.Encode()
-	if err != nil {
-		return nil, err
-	}
-
-	var lastErr error = ErrTimeout
-	for i := 0; i < attempts; i++ {
-		resp, err := c.attemptTCP(wire, id, name, timeout)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if errors.Is(err, ErrReset) {
-			break
-		}
-	}
-	return nil, lastErr
+	return c.exchange(name, qtype, c.attemptTCP)
 }
 
 func (c *Client) attemptTCP(wire []byte, id uint16, name string, timeout time.Duration) (*dnswire.Message, error) {
@@ -216,14 +164,12 @@ func (c *Client) attemptTCP(wire []byte, id uint16, name string, timeout time.Du
 		if err != nil {
 			continue // undecodable frame; keep reading until the deadline
 		}
-		if msg.Header.ID != id || !msg.Header.Response {
-			continue // not ours
+		if ours, err := matchResponse(msg, id, name); ours {
+			if err != nil {
+				return nil, err
+			}
+			return msg, nil
 		}
-		if len(msg.Questions) == 0 ||
-			dnswire.CanonicalName(msg.Questions[0].Name) != dnswire.CanonicalName(name) {
-			return nil, ErrMismatch
-		}
-		return msg, nil
 	}
 }
 

@@ -219,6 +219,20 @@ func TestDecodeReservedLabelRejected(t *testing.T) {
 	}
 }
 
+// TestDecodeDotInLabelRejected: the two-label wire name
+// "www.example"+"com" would otherwise decode to the same string as the
+// three-label "www.example.com", slipping past a question-name check.
+func TestDecodeDotInLabelRejected(t *testing.T) {
+	b := make([]byte, 12)
+	b[4], b[5] = 0, 1
+	b = append(b, 11)
+	b = append(b, "www.example"...)
+	b = append(b, 3, 'c', 'o', 'm', 0, 0, 1, 0, 1)
+	if _, err := Decode(b); !errors.Is(err, ErrDotInLabel) {
+		t.Fatalf("err = %v, want ErrDotInLabel", err)
+	}
+}
+
 func TestDecodeAbsurdCounts(t *testing.T) {
 	b := make([]byte, 12)
 	b[6], b[7] = 0xFF, 0xFF // ANCOUNT=65535 in a 12-byte message

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,6 +16,7 @@ var (
 	ErrPointerLoop     = errors.New("dnswire: compression pointer loop")
 	ErrBadPointer      = errors.New("dnswire: compression pointer out of range")
 	ErrReservedLabel   = errors.New("dnswire: reserved label type")
+	ErrDotInLabel      = errors.New("dnswire: label contains a '.' byte")
 	ErrTrailingBytes   = errors.New("dnswire: trailing bytes after message")
 	ErrTooManyRecords  = errors.New("dnswire: record count exceeds message size")
 	ErrRDataOutOfRange = errors.New("dnswire: rdata length out of range")
@@ -133,10 +135,17 @@ func decodeName(msg []byte, off int) (string, int, error) {
 			if total > MaxNameLen {
 				return "", 0, ErrNameTooLong
 			}
+			label := msg[off+1 : off+1+l]
+			if bytes.IndexByte(label, '.') >= 0 {
+				// Presentation format cannot tell such a label from a label
+				// boundary: the name would not survive re-encoding, and two
+				// different wire names would compare equal.
+				return "", 0, ErrDotInLabel
+			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')
 			}
-			sb.Write(msg[off+1 : off+1+l])
+			sb.Write(label)
 			off += 1 + l
 		}
 	}

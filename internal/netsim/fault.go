@@ -52,6 +52,19 @@ func (f FaultProfile) OutageAt(t time.Duration) bool {
 	return false
 }
 
+// OutageEnd returns when the outage covering t ends: the latest End among
+// the windows containing t, or t itself when no window does. A stream
+// that cannot drop bytes stalls until then.
+func (f FaultProfile) OutageEnd(t time.Duration) time.Duration {
+	end := t
+	for _, w := range f.Outages {
+		if w.Contains(t) && w.End > end {
+			end = w.End
+		}
+	}
+	return end
+}
+
 // Lost samples whether a transmission sent at time t is dropped. During
 // an outage it is always dropped (consuming no randomness); otherwise it
 // is dropped with probability Loss. Loss <= 0 consumes no randomness.

@@ -54,6 +54,25 @@ func TestOutageDropsEverythingWithoutRNG(t *testing.T) {
 	}
 }
 
+// TestOutageEnd: a stall lasts until the latest end among the windows
+// covering t, and not at all outside every window.
+func TestOutageEnd(t *testing.T) {
+	f := FaultProfile{Outages: []Window{
+		{Start: time.Hour, End: 2 * time.Hour},
+		{Start: 90 * time.Minute, End: 3 * time.Hour},
+	}}
+	for _, c := range []struct{ t, want time.Duration }{
+		{30 * time.Minute, 30 * time.Minute},
+		{70 * time.Minute, 2 * time.Hour},
+		{100 * time.Minute, 3 * time.Hour},
+		{3 * time.Hour, 3 * time.Hour},
+	} {
+		if got := f.OutageEnd(c.t); got != c.want {
+			t.Errorf("OutageEnd(%v) = %v, want %v", c.t, got, c.want)
+		}
+	}
+}
+
 // TestZeroProfileRNGIdentity is the determinism cornerstone: with a zero
 // fault profile, DeliverUnder must consume exactly the randomness Delay
 // would, so fault-free runs are bit-identical to the pre-fault code.

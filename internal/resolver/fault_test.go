@@ -10,26 +10,71 @@ import (
 )
 
 func TestRetryPolicyAttempts(t *testing.T) {
-	if got := (RetryPolicy{MaxRetries: 2}).attempts(); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
+	if got := (RetryPolicy{MaxRetries: 2}).Attempts(); got != 3 {
+		t.Fatalf("Attempts() = %d, want 3", got)
 	}
-	if got := (RetryPolicy{MaxRetries: -5}).attempts(); got != 1 {
-		t.Fatalf("negative MaxRetries attempts = %d, want 1", got)
+	if got := (RetryPolicy{MaxRetries: -5}).Attempts(); got != 1 {
+		t.Fatalf("negative MaxRetries Attempts() = %d, want 1", got)
 	}
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
 	p := RetryPolicy{Timeout: 3 * time.Second, Backoff: 2, MaxTimeout: 10 * time.Second}
-	if got := p.next(3 * time.Second); got != 6*time.Second {
-		t.Fatalf("next(3s) = %v, want 6s", got)
+	if got := p.AttemptTimeout(1); got != 6*time.Second {
+		t.Fatalf("AttemptTimeout(1) = %v, want 6s", got)
 	}
-	if got := p.next(6 * time.Second); got != 10*time.Second {
-		t.Fatalf("next(6s) = %v, want cap 10s", got)
+	if got := p.AttemptTimeout(2); got != 10*time.Second {
+		t.Fatalf("AttemptTimeout(2) = %v, want cap 10s", got)
 	}
 	// Sub-1 backoff behaves as flat.
 	flat := RetryPolicy{Timeout: time.Second, Backoff: 0.5}
-	if got := flat.next(time.Second); got != time.Second {
-		t.Fatalf("flat next = %v, want 1s", got)
+	if got := flat.AttemptTimeout(1); got != time.Second {
+		t.Fatalf("flat AttemptTimeout(1) = %v, want 1s", got)
+	}
+}
+
+// TestRetryLadder pins the one retry ladder that the simulated
+// transports and the live dnsserver clients share, including the edges
+// that historically invite off-by-one clamps: the cap binds mid-ladder
+// (not the product MaxTimeout·Backoff), MaxTimeout below Timeout caps the
+// first attempt too, Backoff exactly 1.0 or below 1 is flat, and a
+// negative MaxRetries still allows one attempt.
+func TestRetryLadder(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	cases := []struct {
+		name     string
+		rp       RetryPolicy
+		attempts int
+		want     []time.Duration // indexed by attempt
+	}{
+		{"plain exponential", RetryPolicy{Timeout: ms(100), MaxRetries: 3, Backoff: 2},
+			4, []time.Duration{ms(100), ms(200), ms(400), ms(800)}},
+		{"resolv.conf preset", RetryPolicy{Timeout: ms(3000), MaxRetries: 2, Backoff: 2, MaxTimeout: ms(10000)},
+			3, []time.Duration{ms(3000), ms(6000), ms(10000)}},
+		{"cap binds mid-ladder, not MaxTimeout×Backoff", RetryPolicy{Timeout: ms(100), Backoff: 3, MaxTimeout: ms(250)},
+			1, []time.Duration{ms(100), ms(250), ms(250), ms(250)}},
+		{"cap exactly hit stays at cap", RetryPolicy{Timeout: ms(100), Backoff: 2, MaxTimeout: ms(200)},
+			1, []time.Duration{ms(100), ms(200), ms(200)}},
+		{"MaxTimeout below Timeout caps the first attempt too", RetryPolicy{Timeout: ms(500), Backoff: 2, MaxTimeout: ms(200)},
+			1, []time.Duration{ms(200), ms(200), ms(200)}},
+		{"backoff exactly 1.0 is flat", RetryPolicy{Timeout: ms(100), Backoff: 1.0, MaxTimeout: ms(800)},
+			1, []time.Duration{ms(100), ms(100), ms(100), ms(100)}},
+		{"backoff below 1 is flat, not shrinking", RetryPolicy{Timeout: ms(100), Backoff: 0.5},
+			1, []time.Duration{ms(100), ms(100), ms(100)}},
+		{"negative MaxRetries gives one attempt", RetryPolicy{Timeout: ms(100), MaxRetries: -5},
+			1, []time.Duration{ms(100)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.rp.Attempts(); got != tc.attempts {
+				t.Errorf("Attempts() = %d, want %d", got, tc.attempts)
+			}
+			for i, want := range tc.want {
+				if got := tc.rp.AttemptTimeout(i); got != want {
+					t.Errorf("AttemptTimeout(%d) = %v, want %v", i, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -5,42 +5,44 @@ import "time"
 // RetryPolicy is the client-side failure handling for one query: how long
 // to wait for a response, how many times to retry, how the timeout grows,
 // and whether retries rotate across the platform's anycast addresses.
-// This is the standard resilient-measurement ladder (ZDNS, resolv.conf)
-// adapted to the simulator: timeouts and backoff waits are charged to the
-// lookup's client-observed duration instead of wall-clock sleeps.
+// This is the standard resilient-measurement ladder (ZDNS, resolv.conf),
+// and the only ladder arithmetic in the repository: the simulator charges
+// its timeouts to the lookup's client-observed duration, and the live
+// dnsserver clients arm real timers with the same values.
 type RetryPolicy struct {
 	// Timeout is how long the client waits for the first response.
 	Timeout time.Duration
 	// MaxRetries is the number of additional attempts after the first.
+	// Negative means none.
 	MaxRetries int
 	// Backoff multiplies the timeout after each failed attempt (bounded
 	// exponential backoff). Values below 1 are treated as 1 (flat).
 	Backoff float64
-	// MaxTimeout caps the per-attempt timeout after backoff. Zero means
-	// uncapped.
+	// MaxTimeout caps every attempt's timeout, the first one included.
+	// Zero means uncapped.
 	MaxTimeout time.Duration
 	// RotateServers advances to the platform's next anycast address on
 	// each retry instead of re-asking the same frontend.
 	RotateServers bool
 }
 
-// attempts is the total number of transmission attempts the policy allows.
-func (p RetryPolicy) attempts() int {
-	if p.MaxRetries < 0 {
-		return 1
-	}
-	return 1 + p.MaxRetries
+// Attempts is the total number of transmission attempts the policy allows.
+func (p RetryPolicy) Attempts() int {
+	return 1 + max(p.MaxRetries, 0)
 }
 
-// next returns the timeout for the attempt after one that timed out.
-func (p RetryPolicy) next(cur time.Duration) time.Duration {
-	f := p.Backoff
-	if f < 1 {
-		f = 1
+// AttemptTimeout is the timeout of the 0-based attempt i:
+// Timeout·max(Backoff,1)^i, with MaxTimeout capping every attempt. The
+// product is taken one step at a time, each truncated to a Duration, and
+// stops growing once it reaches the cap.
+func (p RetryPolicy) AttemptTimeout(i int) time.Duration {
+	capped := func(d time.Duration) bool { return p.MaxTimeout > 0 && d >= p.MaxTimeout }
+	d := p.Timeout
+	for ; i > 0 && !capped(d); i-- {
+		d = time.Duration(float64(d) * max(p.Backoff, 1))
 	}
-	d := time.Duration(float64(cur) * f)
-	if p.MaxTimeout > 0 && d > p.MaxTimeout {
-		d = p.MaxTimeout
+	if capped(d) {
+		return p.MaxTimeout
 	}
 	return d
 }

@@ -195,13 +195,11 @@ func (UDPTransport) Kind() TransportKind { return TransportUDP }
 // the failure-model contract.
 func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, host string, rp RetryPolicy) Result {
 	faults := rr.Profile.Faults
-	timeout := rp.Timeout
-	maxAttempts := rp.attempts()
 	var elapsed time.Duration
 	var res Result
 	addrIdx := 0
 
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < rp.Attempts(); attempt++ {
 		res.Attempts = attempt + 1
 		if attempt > 0 {
 			rr.obs.retries.Inc()
@@ -226,11 +224,7 @@ func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, hos
 
 		if lostOut {
 			// The query never arrived; the client waits out the timeout.
-			elapsed += timeout
-			timeout = rp.next(timeout)
-			rr.retries++
-			rr.timeouts++
-			rr.obs.timeouts.Inc()
+			elapsed += rr.failAttempt(rp, attempt, false)
 			continue
 		}
 		arrival := sendAt + owdOut
@@ -239,11 +233,7 @@ func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, hos
 			// The response was lost on the way back. The frontend cache
 			// is warm now, so a retry may turn an R into an SC — exactly
 			// the ambiguity loss injects into the passive analysis.
-			elapsed += timeout
-			timeout = rp.next(timeout)
-			rr.retries++
-			rr.timeouts++
-			rr.obs.timeouts.Inc()
+			elapsed += rr.failAttempt(rp, attempt, false)
 			continue
 		}
 
@@ -263,8 +253,28 @@ func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, hos
 		return res
 	}
 
-	// Every attempt lost: the client gives up with a synthesized
-	// SERVFAIL after the full timeout ladder.
+	return rr.giveUp(res, elapsed)
+}
+
+// failAttempt charges one failed attempt to the lookup and returns its
+// cost: the client waits out the attempt's ladder timeout before trying
+// again. reset marks a stream torn down in flight rather than a datagram
+// that never came back.
+func (rr *Recursive) failAttempt(rp RetryPolicy, attempt int, reset bool) time.Duration {
+	rr.retries++
+	if reset {
+		rr.streamResets++
+		rr.obs.streamResets.Inc()
+	} else {
+		rr.timeouts++
+		rr.obs.timeouts.Inc()
+	}
+	return rp.AttemptTimeout(attempt)
+}
+
+// giveUp ends a lookup whose every attempt failed: the client gives up
+// with a synthesized SERVFAIL after the full timeout ladder.
+func (rr *Recursive) giveUp(res Result, elapsed time.Duration) Result {
 	res.ServFail = true
 	res.RCode = RCodeServFail
 	res.Duration = elapsed
@@ -322,8 +332,6 @@ func (c StreamConfig) HandshakeRTTs(kind TransportKind, resumed bool) int {
 // frontend partition and anycast address for its lifetime.
 func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Duration, host string, rp RetryPolicy) Result {
 	faults := rr.Profile.Faults
-	timeout := rp.Timeout
-	maxAttempts := rp.attempts()
 	var elapsed time.Duration
 	var res Result
 	res.Transport = t.kind
@@ -334,7 +342,7 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 	}
 	res.Reused = cs.stream.LiveAt(now)
 
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < rp.Attempts(); attempt++ {
 		res.Attempts = attempt + 1
 		if attempt > 0 {
 			rr.obs.retries.Inc()
@@ -353,11 +361,7 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 			if !ok {
 				// The handshake never completed — a connect timeout. Wait
 				// it out and reconnect with the next attempt's budget.
-				elapsed += timeout
-				timeout = rp.next(timeout)
-				rr.retries++
-				rr.timeouts++
-				rr.obs.timeouts.Inc()
+				elapsed += rr.failAttempt(rp, attempt, false)
 				continue
 			}
 			cs.stream.Touch(sendAt+hs, t.cfg.IdleTimeout)
@@ -376,11 +380,7 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 		if reset {
 			// The query (or the connection under it) died in flight: the
 			// client's next attempt reconnects rather than retransmits.
-			elapsed += timeout
-			timeout = rp.next(timeout)
-			rr.retries++
-			rr.streamResets++
-			rr.obs.streamResets.Inc()
+			elapsed += rr.failAttempt(rp, attempt, true)
 			continue
 		}
 		arrival := sendAt + owdOut
@@ -390,11 +390,7 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 			// The response died with the connection. The frontend cache is
 			// warm now, so the reconnect's re-ask may turn an R into an SC
 			// — the same ambiguity the datagram path injects.
-			elapsed += timeout
-			timeout = rp.next(timeout)
-			rr.retries++
-			rr.streamResets++
-			rr.obs.streamResets.Inc()
+			elapsed += rr.failAttempt(rp, attempt, true)
 			continue
 		}
 
@@ -409,12 +405,6 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 	}
 
 	// Every attempt lost: SERVFAIL after the full ladder, like Do53.
-	res.ServFail = true
-	res.RCode = RCodeServFail
-	res.Duration = elapsed
 	res.Resolver = rr.Profile.Addrs[cs.addrIdx]
-	rr.servfails++
-	rr.obs.servfails.Inc()
-	rr.obs.duration.Observe(res.Duration)
-	return res
+	return rr.giveUp(res, elapsed)
 }
