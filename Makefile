@@ -141,7 +141,7 @@ scaling-gate:
 	$(GO) test -bench='BenchmarkAnalyzeParallel$$' -run='^$$' -benchtime=3x .
 
 bench: scaling-gate
-	$(GO) test -bench='BenchmarkAnalyzeParallel$$|BenchmarkFaultLossSweep$$|BenchmarkAnalyzeStream$$|BenchmarkTransportLookup$$|BenchmarkTransportWhatIf$$|BenchmarkBulkScanSim$$|BenchmarkBulkScanLive$$|BenchmarkBulkScanChaos' \
+	$(GO) test -bench='BenchmarkAnalyzeParallel$$|BenchmarkFaultLossSweep$$|BenchmarkAnalyzeStream$$|BenchmarkReadTSV$$|BenchmarkReport$$|BenchmarkTransportLookup$$|BenchmarkTransportWhatIf$$|BenchmarkBulkScanSim$$|BenchmarkBulkScanLive$$|BenchmarkBulkScanChaos' \
 		-benchmem -benchtime=3x -run='^$$' ./... | \
 		$(GO) run ./cmd/benchjson $(if $(wildcard $(BENCH_BASELINE)),-baseline $(BENCH_BASELINE)) > $(BENCH_OUT)
 	@cat $(BENCH_OUT)

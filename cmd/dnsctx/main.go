@@ -140,7 +140,7 @@ func main() {
 			usageErr("-spill-dir requires -stream")
 		}
 		if *ingestW != 0 {
-			usageErr("-ingest-workers requires -stream (the in-memory readers parse on one goroutine)")
+			usageErr("-ingest-workers requires -stream (the in-memory readers choose their own parse workers)")
 		}
 		if *shardOut != "" && !*merge {
 			usageErr("-shard-out requires -stream or -merge")

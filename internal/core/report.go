@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
+	"dnscontext/internal/parallel"
 	"dnscontext/internal/resolver"
 	"dnscontext/internal/stats"
 )
@@ -14,28 +16,34 @@ import (
 // as text. profiles supplies the resolver-platform address book. A
 // summary-grade analysis (no resident dataset) renders WriteSummary
 // instead, since the figure computations need the raw records.
+//
+// The sections are computed first, concurrently on up to Opts.Workers
+// goroutines, each into its own slot; the text is then rendered from
+// the slots serially, in one fixed order. Each section is a
+// deterministic function of the analysis, so the bytes are the same for
+// any worker count and any scheduling.
 func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) error {
 	if a.DS == nil {
 		return a.WriteSummary(w)
 	}
+	s := a.reportSections(profiles)
 	// Errors from fmt.Fprintf to w are surfaced once at the end via this
 	// small tracking writer, keeping the body readable.
 	tw := &trackingWriter{w: w}
 
 	fmt.Fprintf(tw, "=== Putting DNS in Context: reproduction report ===\n")
-	st := a.DatasetStats()
+	st := &s.stats
 	fmt.Fprintf(tw, "connections: %d (%.0f%% TCP / %.0f%% UDP; paper: 88/12)   dns transactions: %d\n",
 		st.Connections, 100*st.TCPFraction, 100*st.UDPFraction, st.DNSTransactions)
 	fmt.Fprintf(tw, "houses: %d   window: %v   conns/house/day: %.0f\n\n",
 		st.Houses, st.Window.Round(time.Minute), st.ConnsPerHousePerDay)
 
 	// --- §4 pairing & blocking ---
-	unamb, paired := a.PairingAmbiguity()
 	fmt.Fprintf(tw, "--- Section 4: pairing ---\n")
-	fmt.Fprintf(tw, "paired connections: %d (%.1f%% of all)\n", paired, pct(paired, len(a.Paired)))
-	fmt.Fprintf(tw, "single non-expired candidate: %.1f%% (paper: >82%%)\n\n", 100*unamb)
+	fmt.Fprintf(tw, "paired connections: %d (%.1f%% of all)\n", s.paired, pct(s.paired, len(a.Paired)))
+	fmt.Fprintf(tw, "single non-expired candidate: %.1f%% (paper: >82%%)\n\n", 100*s.unambiguous)
 
-	f1 := a.Figure1()
+	f1 := &s.f1
 	fmt.Fprintf(tw, "--- Figure 1: DNS-completion to connection-start gap ---\n")
 	if f1.Gaps.N() > 0 {
 		fmt.Fprint(tw, stats.RenderCDFs(stats.PlotOptions{
@@ -48,13 +56,13 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	// --- Table 1 ---
 	fmt.Fprintf(tw, "--- Table 1: resolver platforms ---\n")
 	fmt.Fprintf(tw, "%-11s %9s %10s %9s %9s\n", "Resolver", "% Houses", "% Lookups", "% Conns", "% Bytes")
-	for _, row := range a.Table1(profiles) {
+	for _, row := range s.table1 {
 		fmt.Fprintf(tw, "%-11s %9.1f %10.1f %9.1f %9.1f\n",
 			row.Platform, 100*row.HousesFraction, 100*row.LookupsFraction,
 			100*row.ConnsFraction, 100*row.BytesFraction)
 	}
 	fmt.Fprintf(tw, "houses using only the local resolvers: %.1f%% (paper: ~16%%)\n\n",
-		100*OnlyLocalFraction(a.PerHouse(profiles)))
+		100*s.onlyLocal)
 
 	// --- Table 2 ---
 	fmt.Fprintf(tw, "--- Table 2: DNS information origin ---\n")
@@ -70,7 +78,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*a.BlockedFraction(), 100*a.SharedCacheHitRate())
 
 	// --- §5.1 ---
-	nd := a.NoDNS()
+	nd := &s.noDNS
 	fmt.Fprintf(tw, "--- Section 5.1: connections without DNS ---\n")
 	fmt.Fprintf(tw, "N connections: %d, high-port (p2p-like): %.1f%% (paper: 81.6%%)\n", nd.Total, 100*nd.HighPortFraction)
 	fmt.Fprintf(tw, "DoT (853) connections: %d (paper: 0)\n", nd.DoTConns)
@@ -81,8 +89,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	fmt.Fprintln(tw)
 
 	// --- §5.2 ---
-	ttl := a.TTLViolations()
-	pf := a.Prefetch()
+	ttl, pf := &s.ttl, &s.prefetch
 	fmt.Fprintf(tw, "--- Section 5.2: local cache and prefetching ---\n")
 	fmt.Fprintf(tw, "LC conns using expired records: %.1f%% (paper: 22.2%%)\n", 100*ttl.LCExpiredFraction)
 	fmt.Fprintf(tw, "P conns using expired records:  %.1f%% (paper: 12.4%%)\n", 100*ttl.PExpiredFraction)
@@ -96,7 +103,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*pf.UnusedFraction, 100*pf.SpeculativeUsedFraction)
 
 	// --- Figure 2 / §6 ---
-	f2 := a.Figure2()
+	f2 := &s.f2
 	fmt.Fprintf(tw, "--- Figure 2 / Section 6: DNS performance for SC and R ---\n")
 	if f2.LookupDelays.N() > 0 {
 		fmt.Fprint(tw, stats.RenderCDFs(stats.PlotOptions{
@@ -116,7 +123,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 			100*f2.ContributionAll.FractionAbove(1), 100*f2.ContributionAll.FractionAbove(10),
 			100*f2.ContributionR.FractionAbove(1))
 	}
-	sig := a.Significance()
+	sig := &s.sig
 	fmt.Fprintf(tw, "significance quadrants over SC+R (abs>%v, rel>%.0f%%):\n", a.Opts.InsignificantAbs, 100*a.Opts.InsignificantRel)
 	fmt.Fprintf(tw, "  both insignificant: %.1f%% (paper: 64.0%%)\n", 100*sig.BothInsignificant)
 	fmt.Fprintf(tw, "  only relative high: %.1f%% (paper: 11.5%%)\n", 100*sig.OnlyRelHigh)
@@ -125,7 +132,7 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 		100*sig.BothSignificant, 100*sig.OverallSignificant)
 
 	// --- §7 / Figure 3 ---
-	rp := a.ResolverPerformance(profiles)
+	rp := &s.rp
 	fmt.Fprintf(tw, "--- Section 7 / Figure 3: per-platform comparison ---\n")
 	fmt.Fprintf(tw, "shared-cache hit rate by platform (paper: CF 83.6 / Local 71.2 / OpenDNS 58.8 / Google 23.0):\n")
 	for _, p := range profiles {
@@ -169,16 +176,16 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	}
 
 	// --- §8 ---
-	wh := a.WholeHouse()
+	wh := &s.wholeHouse
 	fmt.Fprintf(tw, "--- Section 8: possible improvements ---\n")
 	fmt.Fprintf(tw, "whole-house cache: %.1f%% of all conns move to LC (paper: 9.8%%); SC benefit %.0f%% (paper: 22%%), R benefit %.0f%% (paper: 25%%)\n",
 		100*wh.MovedFraction, 100*wh.SCBenefit, 100*wh.RBenefit)
 
-	sl := a.Slack()
+	sl := &s.slack
 	fmt.Fprintf(tw, "lookup slack (first-use gap): >1s for %.0f%%, >10s for %.0f%% of used lookups; +100ms would newly block %.1f%% of conns\n",
-		100*sl.SlackOver1s, 100*sl.SlackOver10s, 100*a.TolerableExtraDelay(100*time.Millisecond))
+		100*sl.SlackOver1s, 100*sl.SlackOver10s, 100*s.tolerable)
 
-	rf := a.RefreshSimulation(10 * time.Second)
+	rf := &s.refresh
 	fmt.Fprintf(tw, "refresh simulation (Table 3), %d DNS-using conns over %v, %d houses:\n", rf.Conns, rf.Window.Round(time.Minute), rf.Houses)
 	fmt.Fprintf(tw, "  %-22s %12s %12s\n", "", "Standard", "Refresh All")
 	fmt.Fprintf(tw, "  %-22s %12d %12d\n", "DNS lookups", rf.Standard.Lookups, rf.RefreshAll.Lookups)
@@ -187,6 +194,81 @@ func (a *Analysis) Report(w io.Writer, profiles []resolver.PlatformProfile) erro
 	fmt.Fprintf(tw, "  lookup multiplier: %.0fx (paper: ~144x)\n", rf.LookupMultiplier)
 
 	return tw.err
+}
+
+// reportSections holds the result of every section Report renders.
+// Each field is written by exactly one section function, so sections
+// run concurrently without locks.
+type reportSections struct {
+	stats       DatasetStats
+	unambiguous float64
+	paired      int
+	f1          Figure1
+	table1      []Table1Row
+	onlyLocal   float64
+	noDNS       NoDNS
+	ttl         TTLViolations
+	prefetch    Prefetch
+	f2          Figure2
+	sig         Significance
+	rp          ResolverPerformance
+	wholeHouse  WholeHouse
+	slack       Slack
+	tolerable   float64
+	refresh     RefreshResult
+}
+
+// reportSections computes Report's sections on up to Opts.Workers
+// goroutines (one: in order, on the caller), costliest first so the
+// pool drains evenly. The sections only read the analysis, apart from
+// the once-guarded refresh inputs. Each finalizes the distributions it
+// built, so their sorts run in parallel too and the serial render only
+// reads them.
+func (a *Analysis) reportSections(profiles []resolver.PlatformProfile) *reportSections {
+	s := &reportSections{}
+	sections := [...]func(){
+		func() {
+			s.f2, s.sig = a.Figure2(), a.Significance()
+			finalizeECDFs(s.f2.LookupDelays, s.f2.ContributionAll, s.f2.ContributionSC, s.f2.ContributionR)
+		},
+		func() { s.refresh = a.RefreshSimulation(10 * time.Second) },
+		func() {
+			s.rp = a.ResolverPerformance(profiles)
+			finalizeECDFs(s.rp.GoogleNoCC)
+			for _, e := range s.rp.RDelays {
+				finalizeECDFs(e)
+			}
+			for _, e := range s.rp.Throughput {
+				finalizeECDFs(e)
+			}
+		},
+		func() { s.table1 = a.Table1(profiles) },
+		func() {
+			s.f1 = a.Figure1()
+			finalizeECDFs(s.f1.Gaps)
+		},
+		func() { s.noDNS, s.ttl, s.prefetch = a.NoDNS(), a.TTLViolations(), a.Prefetch() },
+		func() { s.wholeHouse = a.WholeHouse() },
+		func() { s.onlyLocal = OnlyLocalFraction(a.PerHouse(profiles)) },
+		func() { s.slack, s.tolerable = a.Slack(), a.TolerableExtraDelay(100*time.Millisecond) },
+		func() {
+			s.stats = a.DatasetStats()
+			s.unambiguous, s.paired = a.PairingAmbiguity()
+		},
+	}
+	// ForEach cannot fail: no section returns an error, and the
+	// background context is never cancelled.
+	_ = parallel.ForEach(context.Background(), a.Opts.Workers, len(sections), func(i int) error {
+		sections[i]()
+		return nil
+	})
+	return s
+}
+
+func finalizeECDFs(es ...*stats.ECDF) {
+	for _, e := range es {
+		e.Finalize()
+	}
 }
 
 // WriteSummary renders the classification summary available in every

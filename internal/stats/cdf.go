@@ -39,7 +39,10 @@ func (e *ECDF) AddAll(xs []float64) {
 // N returns the number of samples.
 func (e *ECDF) N() int { return len(e.xs) }
 
-func (e *ECDF) finalize() {
+// Finalize sorts the samples now instead of on the first query. Until
+// then queries sort lazily and so write; once finalized, and until the
+// next Add, they only read.
+func (e *ECDF) Finalize() {
 	if !e.sorted {
 		sort.Float64s(e.xs)
 		e.sorted = true
@@ -56,7 +59,7 @@ func (e *ECDF) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("stats: Quantile(%g) out of [0,1]", q))
 	}
-	e.finalize()
+	e.Finalize()
 	if len(e.xs) == 1 {
 		return e.xs[0]
 	}
@@ -77,7 +80,7 @@ func (e *ECDF) Min() float64 {
 	if len(e.xs) == 0 {
 		panic("stats: Min of empty ECDF")
 	}
-	e.finalize()
+	e.Finalize()
 	return e.xs[0]
 }
 
@@ -86,7 +89,7 @@ func (e *ECDF) Max() float64 {
 	if len(e.xs) == 0 {
 		panic("stats: Max of empty ECDF")
 	}
-	e.finalize()
+	e.Finalize()
 	return e.xs[len(e.xs)-1]
 }
 
@@ -107,7 +110,7 @@ func (e *ECDF) FractionAtMost(x float64) float64 {
 	if len(e.xs) == 0 {
 		return 0
 	}
-	e.finalize()
+	e.Finalize()
 	// Count of samples <= x.
 	n := sort.Search(len(e.xs), func(i int) bool { return e.xs[i] > x })
 	return float64(n) / float64(len(e.xs))
@@ -119,7 +122,7 @@ func (e *ECDF) FractionAbove(x float64) float64 { return 1 - e.FractionAtMost(x)
 // Values returns the sorted samples. The returned slice is owned by the
 // ECDF and must not be modified.
 func (e *ECDF) Values() []float64 {
-	e.finalize()
+	e.Finalize()
 	return e.xs
 }
 
@@ -129,7 +132,7 @@ func (e *ECDF) Points(max int) []Point {
 	if len(e.xs) == 0 || max <= 0 {
 		return nil
 	}
-	e.finalize()
+	e.Finalize()
 	if max > len(e.xs) {
 		max = len(e.xs)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,17 @@ func allocTSV(lines int) string {
 		addr := fmt.Sprintf("192.0.2.%d", i%32)
 		fmt.Fprintf(&sb, "%d.%06d\t%d.%06d\t10.1.0.1\t203.0.113.7\t%d\t%s\t1\t0\t%s/300.000000,198.51.100.%d/60.000000\t0\tF\n",
 			i, i%1000000, i, (i+400)%1000000, i%65536, name, addr, i%32)
+	}
+	return sb.String()
+}
+
+// allocConnTSV is allocTSV for the conn stream.
+func allocConnTSV(lines int) string {
+	var sb strings.Builder
+	sb.WriteString(connFields + "\n")
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, "%d.%06d\t1.500000\ttcp\t10.1.0.1\t%d\t198.51.100.%d\t443\t%d\t%d\n",
+			i, i%1000000, 40000+i%20000, i%32, i*10, i*100)
 	}
 	return sb.String()
 }
@@ -65,13 +77,7 @@ func TestScannerAllocsPerLine(t *testing.T) {
 // TestConnScannerAllocsPerLine is the same gate for the conn stream.
 func TestConnScannerAllocsPerLine(t *testing.T) {
 	const lines = 8000
-	var sb strings.Builder
-	sb.WriteString(connFields + "\n")
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&sb, "%d.%06d\t1.500000\ttcp\t10.1.0.1\t%d\t198.51.100.%d\t443\t%d\t%d\n",
-			i, i%1000000, 40000+i%20000, i%32, i*10, i*100)
-	}
-	input := sb.String()
+	input := allocConnTSV(lines)
 	if recs, err := ReadConns(strings.NewReader(input)); err != nil || len(recs) != lines {
 		t.Fatalf("fixture: %d records, err %v", len(recs), err)
 	}
@@ -86,4 +92,38 @@ func TestConnScannerAllocsPerLine(t *testing.T) {
 		}
 	})
 	scanAllocBudget(t, "conn", lines, perRun)
+}
+
+// TestReadAllocsGrowWithChunksNotRecords gates the slice readers: on
+// the chunked engine their allocations grow with the input's 1 MiB
+// chunks (a record slice, the answer arena's blocks) and its distinct
+// names, not with its records. Inputs cycling through the same names at
+// 20k and 100k records may differ by at most 16 allocations per extra
+// chunk; one allocation per record would add 80,000.
+func TestReadAllocsGrowWithChunksNotRecords(t *testing.T) {
+	const small, large, perChunk = 20_000, 100_000, 16
+	for _, tc := range []struct {
+		stream string
+		tsv    func(int) string
+		read   func(io.Reader) (int, error)
+	}{
+		{"dns", allocTSV, func(r io.Reader) (int, error) { recs, err := ReadDNS(r); return len(recs), err }},
+		{"conn", allocConnTSV, func(r io.Reader) (int, error) { recs, err := ReadConns(r); return len(recs), err }},
+	} {
+		allocs := func(lines int) (float64, int) {
+			input := tc.tsv(lines)
+			perRun := testing.AllocsPerRun(3, func() {
+				if n, err := tc.read(strings.NewReader(input)); err != nil || n != lines {
+					t.Fatalf("%s: read %d of %d records, err %v", tc.stream, n, lines, err)
+				}
+			})
+			return perRun, len(input)/ingestChunkBytes + 1
+		}
+		smallAllocs, smallChunks := allocs(small)
+		largeAllocs, largeChunks := allocs(large)
+		if budget := smallAllocs + float64(perChunk*(largeChunks-smallChunks)); largeAllocs > budget {
+			t.Fatalf("%s reader allocates %.0f per %d-record read (%d chunks) against %.0f per %d-record read (%d chunks); budget %.0f",
+				tc.stream, largeAllocs, large, largeChunks, smallAllocs, small, smallChunks, budget)
+		}
+	}
 }

@@ -1,20 +1,21 @@
 package trace
 
-// Parallel chunked ingestion. The serial scanners read one line at a
-// time on one goroutine; on multi-core hardware that single parse loop
-// is the analysis pipeline's longest serial prefix. The chunked path
-// splits the input into record-aligned (newline-aligned) chunks, parses
-// the chunks concurrently — each worker with its own parseState, so the
-// zero-copy field splitting and per-worker name interning need no locks
-// — and merges the parsed chunks back in input order.
+// Parallel chunked ingestion. The chunked engine splits the input
+// into record-aligned (newline-aligned) chunks, parses the chunks
+// concurrently — each worker with its own parseState, so the zero-copy
+// field splitting and per-worker name interning need no locks — and
+// merges the parsed chunks back in input order. It is the body of the
+// slice readers (ReadDNS/ReadConns, on GOMAXPROCS workers) and of a
+// ScannerSource with more than one ingest worker; the serial scanners
+// remain the one-record-at-a-time pull API.
 //
 // Determinism is the contract: the record sequence, every quarantine
 // decision, the error-budget trip point, and the strict-mode abort all
 // replay in serial line order at the merge, so a chunked scan is
-// indistinguishable from a serial one at any worker count. Query-name
-// strings are re-canonicalized through a single merge-side SymbolTable,
-// which restores global first-appearance intern order no matter which
-// worker materialized a name first.
+// indistinguishable from a serial one at any worker count. A parsed
+// chunk carries its records and, separately, only its failed lines with
+// their record position, so the merge hands records over a chunk slice
+// at a time and replays the error policy at each failure.
 
 import (
 	"bufio"
@@ -22,7 +23,6 @@ import (
 	"context"
 	"io"
 	"runtime/pprof"
-	"sync"
 
 	"dnscontext/internal/parallel"
 )
@@ -36,6 +36,13 @@ const (
 	// (sc.Buffer(..., 1<<22)): a line this long fails the scan with
 	// bufio.ErrTooLong on either path.
 	maxIngestLine = 1 << 22
+	// chunkSlack is the room a chunk buffer keeps past the read for the
+	// partial line carried over from the previous read, so a recycled
+	// buffer fits the next read.
+	chunkSlack = 4 << 10
+	// maxEmptyReads mirrors bufio.Scanner: that many consecutive empty
+	// reads fail the scan with io.ErrNoProgress.
+	maxEmptyReads = 100
 )
 
 // ingestChunk is one newline-aligned slice of the input: whole lines
@@ -46,80 +53,134 @@ type ingestChunk struct {
 	// global counter.
 	startLine int
 	data      []byte
+	// buf is the whole buffer data lies in, handed back to the producer
+	// once the chunk is parsed.
+	buf []byte
 }
 
-// produceIngestChunks reads r into newline-aligned chunks. A line that
-// accumulates maxIngestLine bytes without a newline fails with
-// bufio.ErrTooLong, exactly where the serial scanner's token cap would;
-// a mid-stream read error still emits every buffered line first — the
-// serial scanner yields those (including a partial final line) before
-// reporting the error, and the ordered merge preserves that prefix.
-func produceIngestChunks(r io.Reader, chunkBytes int, emit func(ingestChunk) error) error {
+// fill reads into b until b is full or the reader fails, and returns
+// the bytes read. Unlike io.ReadFull it passes the reader's error
+// through unchanged, so a reader's own io.ErrUnexpectedEOF (a truncated
+// compressed stream) stays an error, as bufio.Scanner reports it.
+func fill(r io.Reader, b []byte) (int, error) {
+	n, empty := 0, 0
+	for n < len(b) {
+		m, err := r.Read(b[n:])
+		n += m
+		if err != nil {
+			return n, err
+		}
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty >= maxEmptyReads {
+			return n, io.ErrNoProgress
+		}
+	}
+	return n, nil
+}
+
+// produceIngestChunks reads r into newline-aligned chunks, drawing
+// buffers from free before allocating. A line that accumulates
+// maxIngestLine bytes without a newline fails with bufio.ErrTooLong,
+// exactly where the serial scanner's token cap would; a mid-stream read
+// error still emits every buffered line first — the serial scanner
+// yields those (including a partial final line) before reporting the
+// error, and the ordered merge preserves that prefix.
+func produceIngestChunks(r io.Reader, chunkBytes int, free freeList[[]byte], emit func(ingestChunk) error) error {
 	startLine := 1
 	var carry []byte // partial trailing line of the previous read
 	for {
-		buf := make([]byte, len(carry)+chunkBytes)
-		n := copy(buf, carry)
-		m, rerr := io.ReadFull(r, buf[n:])
-		buf = buf[:n+m]
-		// Only the first line of buf can be overlong: carry holds no
+		need := len(carry) + chunkBytes
+		buf, _ := free.get()
+		if cap(buf) < need {
+			buf = make([]byte, need, need+chunkSlack)
+		}
+		// copy is a memmove: carry may lie in the tail of this very
+		// buffer, recycled since its chunk was parsed.
+		n := copy(buf[:need], carry)
+		m, rerr := fill(r, buf[n:need])
+		data := buf[:n+m]
+		// Only the first line of data can be overlong: carry holds no
 		// newline, so any later line is bounded by one read's bytes.
-		if i := bytes.IndexByte(buf, '\n'); i >= maxIngestLine || (i < 0 && len(buf) >= maxIngestLine) {
+		if i := bytes.IndexByte(data, '\n'); i >= maxIngestLine || (i < 0 && len(data) >= maxIngestLine) {
 			return bufio.ErrTooLong
 		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			if len(buf) > 0 {
-				return emit(ingestChunk{startLine: startLine, data: buf})
-			}
-			return nil
-		}
 		if rerr != nil {
-			if len(buf) > 0 {
-				if err := emit(ingestChunk{startLine: startLine, data: buf}); err != nil {
+			if len(data) > 0 {
+				if err := emit(ingestChunk{startLine: startLine, data: data, buf: buf}); err != nil {
 					return err
 				}
 			}
+			if rerr == io.EOF {
+				return nil
+			}
 			return rerr
 		}
-		cut := bytes.LastIndexByte(buf, '\n')
+		cut := bytes.LastIndexByte(data, '\n')
 		if cut < 0 {
-			carry = buf // the line continues; grow it next read
+			carry = data // the line continues; grow it next read
 			continue
 		}
-		// Cap the emitted slice's capacity: carry aliases the same
-		// backing array and is copied out on the next iteration.
-		if err := emit(ingestChunk{startLine: startLine, data: buf[: cut+1 : cut+1]}); err != nil {
+		// Cap the emitted slice's capacity: carry lies in the same
+		// buffer and is copied out on the next iteration.
+		if err := emit(ingestChunk{startLine: startLine, data: data[: cut+1 : cut+1], buf: buf}); err != nil {
 			return err
 		}
-		startLine += bytes.Count(buf[:cut+1], []byte{'\n'})
-		carry = buf[cut+1:]
+		startLine += bytes.Count(data[:cut+1], newline)
+		carry = data[cut+1:]
 	}
 }
 
-// scanEvent is one data line's outcome inside a parsed chunk, in line
-// order: either a parsed record (rec indexes parsedChunk.recs) or a
-// parse failure (rec < 0) carrying the copied text and cause so the
-// merge can replay the error policy exactly.
-type scanEvent struct {
+var newline = []byte{'\n'}
+
+// freeList recycles values between goroutines. It is a channel rather
+// than a sync.Pool so that what it holds survives garbage collections
+// and, under the race detector, is not dropped at random.
+type freeList[T any] chan T
+
+// get returns a recycled value, or reports false when none is free.
+func (f freeList[T]) get() (v T, ok bool) {
+	select {
+	case v = <-f:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+// put offers v for reuse, dropping it when the list is full.
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+// scanFailure is one data line of a parsed chunk that failed to parse:
+// its copied text and cause, so the merge can replay the error policy
+// exactly, and at, the number of the chunk's records parsed before it.
+type scanFailure struct {
+	at   int
 	line int
-	rec  int32
 	text string
 	err  error
 }
 
-// parsedChunk is one chunk's parse output.
+// parsedChunk is one chunk's parse output: its records in line order
+// and its failed lines.
 type parsedChunk[R any] struct {
-	recs   []R
-	events []scanEvent
+	recs  []R
+	fails []scanFailure
 }
 
 // parseChunkLines splits one chunk into lines — mirroring
 // bufio.ScanLines: '\n' terminators, one trailing '\r' dropped, a final
-// unterminated line kept — and parses every data line, recording
-// outcomes in line order. Comment ('#') and blank lines advance the
-// line counter without producing an event, as the serial scanners do.
+// unterminated line kept — and parses every data line. Comment ('#')
+// and blank lines advance the line counter and produce nothing, as the
+// serial scanners do. recs is sized from the chunk's line count, so it
+// never grows.
 func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
-	var pc parsedChunk[R]
+	pc := parsedChunk[R]{recs: make([]R, 0, bytes.Count(c.data, newline)+1)}
 	line := c.startLine - 1
 	data := c.data
 	for len(data) > 0 {
@@ -138,64 +199,78 @@ func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (
 		}
 		rec, err := parse(line, ln)
 		if err != nil {
-			pc.events = append(pc.events, scanEvent{line: line, rec: -1, text: string(ln), err: err})
+			pc.fails = append(pc.fails, scanFailure{at: len(pc.recs), line: line, text: string(ln), err: err})
 			continue
 		}
 		pc.recs = append(pc.recs, rec)
-		pc.events = append(pc.events, scanEvent{line: line, rec: int32(len(pc.recs) - 1)})
 	}
 	return pc
 }
 
 // scanChunked is the shared chunked-scan driver: produce chunks, parse
-// them on `workers` goroutines (each drawing a pooled parseState), and
-// replay the per-line outcomes in input order — applying the error
-// policy and budget with the same counters, trip points, and error
-// values as the serial scanner core. canon, when non-nil, runs on each
-// record at merge time (the DNS path re-canonicalizes Query through a
-// single table there).
+// them on `workers` goroutines (0 means GOMAXPROCS; each draws a
+// recycled parseState), and replay the outcomes in input order — handing each
+// run of records between failures to yield as one slice, and applying
+// the error policy and budget at each failure with the same counters,
+// trip points, and error values as the serial scanner core. The slices
+// yield receives are the chunks' own, never reused. parseFailed reports
+// that err is a strict-mode parse error rather than a read error.
+//
+// Chunk buffers are recycled once parsed: a parsed record holds no view
+// into its line (names are interned copies, quarantined text and error
+// values are copied), so a buffer is free as soon as its chunk is.
 func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy,
 	parse func(lineNo int, line []byte, st *parseState) (R, error),
-	canon func(*R),
-	yield func(*R) error) error {
+	yield func([]R) error) (parseFailed bool, err error) {
 
-	pool := sync.Pool{New: func() any { return newParseState() }}
+	w := parallel.Workers(workers)
+	ahead := 2 * w
+	// free holds parsed chunks' buffers for the producer to reuse, and
+	// states the workers' parse states; at most ahead chunks are in
+	// flight and w states in use, so neither needs more room.
+	free := make(freeList[[]byte], ahead)
+	states := make(freeList[*parseState], w)
 	var lines, nQuar int
-	var err error
+	flush := func(recs []R) error {
+		lines += len(recs)
+		if len(recs) == 0 {
+			return nil
+		}
+		return yield(recs)
+	}
 	// Label the scan so profiles attribute parse samples to the stage;
 	// the chunk workers inherit the label from this goroutine.
 	pprof.Do(context.Background(), pprof.Labels("dnsctx_phase", "scan"), func(ctx context.Context) {
-		err = parallel.OrderedStream(ctx, workers, 2*parallel.Workers(workers),
+		err = parallel.OrderedStream(ctx, w, ahead,
 			func(emit func(ingestChunk) error) error {
-				return produceIngestChunks(r, chunkBytes, emit)
+				return produceIngestChunks(r, chunkBytes, free, emit)
 			},
 			func(c ingestChunk) (parsedChunk[R], error) {
-				st := pool.Get().(*parseState)
+				st, ok := states.get()
+				if !ok {
+					st = newParseState()
+				}
 				pc := parseChunkLines(c, func(lineNo int, line []byte) (R, error) {
 					return parse(lineNo, line, st)
 				})
-				pool.Put(st)
+				states.put(st)
+				free.put(c.buf)
 				return pc, nil
 			},
 			func(pc parsedChunk[R]) error {
-				for i := range pc.events {
-					ev := &pc.events[i]
-					lines++
-					if ev.rec >= 0 {
-						rec := &pc.recs[ev.rec]
-						if canon != nil {
-							canon(rec)
-						}
-						if err := yield(rec); err != nil {
-							return err
-						}
-						continue
+				next := 0
+				for _, f := range pc.fails {
+					if err := flush(pc.recs[next:f.at]); err != nil {
+						return err
 					}
+					next = f.at
+					lines++
 					if !policy.Quarantine {
-						return ev.err
+						parseFailed = true
+						return f.err
 					}
 					nQuar++
-					q := Quarantined{Line: ev.line, Text: ev.text, Err: ev.err}
+					q := Quarantined{Line: f.line, Text: f.text, Err: f.err}
 					if policy.Sink != nil {
 						policy.Sink(q)
 					}
@@ -203,26 +278,66 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 						return &BudgetError{Quarantined: nQuar, Lines: lines, Last: q}
 					}
 				}
-				return nil
+				return flush(pc.recs[next:])
 			})
 	})
-	return err
+	return parseFailed, err
+}
+
+// readChunked is the body of the slice readers: a strict chunked scan
+// on GOMAXPROCS workers that keeps each chunk's record slice and copies
+// them once into an exact-length result. Like the serial scanner, a
+// parse failure returns nil and the parse error, and a read error
+// returns the records before it and the read error.
+func readChunked[R any](r io.Reader, parse func(lineNo int, line []byte, st *parseState) (R, error)) ([]R, error) {
+	var parts [][]R
+	n := 0
+	parseFailed, err := scanChunked(r, 0, ingestChunkBytes, Strict(), parse, func(recs []R) error {
+		parts = append(parts, recs)
+		n += len(recs)
+		return nil
+	})
+	if parseFailed || n == 0 {
+		return nil, err
+	}
+	out := make([]R, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, err
+}
+
+// eachRecord adapts a per-record yield to scanChunked's slice yield.
+func eachRecord[R any](yield func(*R) error) func([]R) error {
+	return func(recs []R) error {
+		for i := range recs {
+			if err := yield(&recs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // scanChunkedDNS streams r's DNS records through the chunked parser,
-// yielding them in input order under policy. Query names from
-// different workers are re-canonicalized through one merge-side table,
-// so equal names share storage and the downstream analyzer's intern
-// order matches a serial scan's.
+// yielding them in input order under policy. Each worker interned names
+// into its own table, so equal names from different chunks arrive as
+// distinct strings; every record's Query is re-canonicalized through
+// one merge-side table (a map lookup per record), so equal names share
+// storage and the table's numbering is global first-appearance order.
 func scanChunkedDNS(r io.Reader, workers int, policy ErrorPolicy, yield func(*DNSRecord) error) error {
 	names := NewSymbolTable()
-	return scanChunked(r, workers, ingestChunkBytes, policy, parseDNSLineBytes,
-		func(d *DNSRecord) { d.Query = names.CanonicalString(d.Query) },
-		yield)
+	_, err := scanChunked(r, workers, ingestChunkBytes, policy, parseDNSLineBytes,
+		eachRecord(func(d *DNSRecord) error {
+			d.Query = names.CanonicalString(d.Query)
+			return yield(d)
+		}))
+	return err
 }
 
 // scanChunkedConns is scanChunkedDNS for connection summaries (which
 // carry no strings, so no re-canonicalization is needed).
 func scanChunkedConns(r io.Reader, workers int, policy ErrorPolicy, yield func(*ConnRecord) error) error {
-	return scanChunked(r, workers, ingestChunkBytes, policy, parseConnLineBytes, nil, yield)
+	_, err := scanChunked(r, workers, ingestChunkBytes, policy, parseConnLineBytes, eachRecord(yield))
+	return err
 }

@@ -69,11 +69,9 @@ func collectDNSChunked(input string, workers, chunkBytes int, policy ErrorPolicy
 	if policy.Quarantine && policy.Sink == nil {
 		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
 	}
-	names := NewSymbolTable()
 	var recs []DNSRecord
-	err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, parseDNSLineBytes,
-		func(d *DNSRecord) { d.Query = names.CanonicalString(d.Query) },
-		func(d *DNSRecord) error { recs = append(recs, *d); return nil })
+	_, err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, parseDNSLineBytes,
+		func(batch []DNSRecord) error { recs = append(recs, batch...); return nil })
 	return recs, quar, err
 }
 
@@ -279,8 +277,8 @@ func TestChunkedConnParity(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		var got []ConnRecord
-		err := scanChunked(strings.NewReader(input), workers, 96, Strict(), parseConnLineBytes, nil,
-			func(c *ConnRecord) error { got = append(got, *c); return nil })
+		_, err := scanChunked(strings.NewReader(input), workers, 96, Strict(), parseConnLineBytes,
+			func(batch []ConnRecord) error { got = append(got, batch...); return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,10 +158,6 @@ type scanner struct {
 	nQuar int
 	quar  []Quarantined
 	err   error
-	// parseFailed distinguishes a strict-mode parse abort from an
-	// underlying read error, so the slice readers can reproduce their
-	// historical return shapes exactly.
-	parseFailed bool
 
 	recordsC     *obs.Counter
 	quarantinedC *obs.Counter
@@ -215,7 +211,6 @@ func (s *scanner) next(parse func(lineNo int, line []byte) error) bool {
 		}
 		if !s.policy.Quarantine {
 			s.err = perr
-			s.parseFailed = true
 			return false
 		}
 		s.nQuar++

@@ -268,17 +268,11 @@ var (
 )
 
 // ReadDNS parses TSV DNS records. It is the strict slice-based form of
-// DNSScanner: the first malformed line aborts the read.
+// DNSScanner, parsed on the chunked engine with one worker per CPU: the
+// first malformed line aborts the read with a nil slice, and a read
+// error returns the records before it.
 func ReadDNS(r io.Reader) ([]DNSRecord, error) {
-	sc := NewDNSScanner(r, ErrorPolicy{})
-	var out []DNSRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	if sc.parseFailed {
-		return nil, sc.Err()
-	}
-	return out, sc.Err()
+	return readChunked(r, parseDNSLineBytes)
 }
 
 // WriteConns writes connection records as TSV. It rejects, naming the
@@ -378,16 +372,7 @@ var (
 	protoUDP = []byte("udp")
 )
 
-// ReadConns parses TSV connection records. It is the strict slice-based
-// form of ConnScanner: the first malformed line aborts the read.
+// ReadConns parses TSV connection records; see ReadDNS.
 func ReadConns(r io.Reader) ([]ConnRecord, error) {
-	sc := NewConnScanner(r, ErrorPolicy{})
-	var out []ConnRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	if sc.parseFailed {
-		return nil, sc.Err()
-	}
-	return out, sc.Err()
+	return readChunked(r, parseConnLineBytes)
 }

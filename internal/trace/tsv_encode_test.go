@@ -394,6 +394,31 @@ func BenchmarkWriteTSV(b *testing.B) {
 	b.ReportMetric(float64(2*len(dns)*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
+// BenchmarkReadTSV measures both slice readers on the encoders'
+// day-shaped records.
+func BenchmarkReadTSV(b *testing.B) {
+	dns, conns := benchRecords(50_000)
+	var dnsTSV, connTSV bytes.Buffer
+	if err := WriteDNS(&dnsTSV, dns); err != nil {
+		b.Fatal(err)
+	}
+	if err := WriteConns(&connTSV, conns); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(dnsTSV.Len() + connTSV.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadDNS(bytes.NewReader(dnsTSV.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadConns(bytes.NewReader(connTSV.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(2*len(dns)*b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // fuzzAddr builds an address from fuzz bytes: none is the zero Addr,
 // 4 to 15 bytes an IPv4 address, 16 or more an IPv6 one (IPv4-mapped
 // when the bytes say so) with any bytes past 16 as its zone. Zones
