@@ -171,10 +171,11 @@ bench-all:
 bench-parallel:
 	$(GO) test -bench=BenchmarkAnalyzeParallel -run='^$$' -benchtime=3x
 
-# CPU and allocation profiles of the single-worker pipeline, plus the
-# top-function summaries. This is the workflow behind the ISSUE 5
-# optimizations (DESIGN.md §7e): profile, indict a function, fix it,
-# re-profile, and gate the win with an AllocsPerRun test.
+# CPU and allocation profiles of the single-worker pipeline and of the
+# trace generator (BenchmarkGenerate), plus the top-function summaries of
+# each. This is the workflow behind the ISSUE 5 optimizations (DESIGN.md
+# §7e): profile, indict a function, fix it, re-profile, and gate the win
+# with an AllocsPerRun test.
 PROFILE_DIR ?= profiles
 
 profile:
@@ -186,3 +187,10 @@ profile:
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.out
 	@echo '--- top allocations (alloc_objects) ---'
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/mem.out
+	$(GO) test -bench='BenchmarkGenerate$$' -run='^$$' -benchtime=10x \
+		-cpuprofile=$(PROFILE_DIR)/generate_cpu.out -memprofile=$(PROFILE_DIR)/generate_mem.out \
+		-o $(PROFILE_DIR)/bench.test
+	@echo '--- generator: top CPU ---'
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/generate_cpu.out
+	@echo '--- generator: top allocations (alloc_objects) ---'
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_objects $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/generate_mem.out

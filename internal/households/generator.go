@@ -24,7 +24,7 @@ type Ecosystem struct {
 // Generator builds one synthetic observation window.
 type Generator struct {
 	cfg       Config
-	sim       *netsim.Sim
+	sim       *netsim.Engine[event]
 	rng       *stats.RNG
 	zones     *zonedb.DB
 	auth      *resolver.Authority
@@ -33,10 +33,13 @@ type Generator struct {
 	tm        *transferModel
 	houses    []*house
 
-	// Records are emitted into fixed-size segments; trim copies the
-	// window's records out once, into exactly sized slices.
-	dns   segments[trace.DNSRecord]
-	conns segments[trace.ConnRecord]
+	// lo and hi bound the observation window on the simulator clock,
+	// which starts Warmup before it. Records inside the window are
+	// emitted, shifted so the window starts at zero, into fixed-size
+	// segments; Generate copies them out once, into exactly sized slices.
+	lo, hi time.Duration
+	dns    segments[trace.DNSRecord]
+	conns  segments[trace.ConnRecord]
 }
 
 // segmentLen is the number of records per emission segment.
@@ -59,31 +62,23 @@ func (s *segments[T]) add(v T) {
 	s.cur = append(s.cur, v)
 }
 
-// collect returns, in emission order, the records keep accepts, copied
-// into one exactly sized slice (nil when none is kept). It empties s and
-// drops each segment once copied: the segments and that one slice are
-// all the record memory it ever holds.
-func (s *segments[T]) collect(keep func(*T) bool) []T {
+// collect returns the records in emission order, copied into one
+// exactly sized slice (nil when there are none). It empties s and drops
+// each segment once copied: the segments and that one slice are all the
+// record memory it ever holds.
+func (s *segments[T]) collect() []T {
 	blocks := append(s.full, s.cur)
 	s.full, s.cur = nil, nil
 	n := 0
 	for _, b := range blocks {
-		for i := range b {
-			if keep(&b[i]) {
-				n++
-			}
-		}
+		n += len(b)
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]T, 0, n)
 	for k, b := range blocks {
-		for i := range b {
-			if keep(&b[i]) {
-				out = append(out, b[i])
-			}
-		}
+		out = append(out, b...)
 		blocks[k] = nil
 	}
 	return out
@@ -143,10 +138,11 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 	}
 	g := &Generator{
 		cfg: cfg,
-		sim: netsim.New(),
 		rng: stats.NewRNG(cfg.Seed),
-		tm:  nil,
+		lo:  cfg.Warmup,
+		hi:  cfg.Warmup + cfg.Duration,
 	}
+	g.sim = netsim.NewEngine(g.dispatch)
 	g.tm = newTransferModel(g.rng.Split())
 
 	zones, err := zonedb.New(cfg.Zone, g.rng.Split())
@@ -204,8 +200,8 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 		g.startHouse(h)
 	}
 
-	g.sim.RunUntil(cfg.Warmup + cfg.Duration)
-	ds := g.trim()
+	g.sim.RunUntil(g.hi)
+	ds := &trace.Dataset{DNS: g.dns.collect(), Conns: g.conns.collect()}
 	ds.SortByTime()
 	// The simulated resolvers hand each record its own small Answers
 	// backing; repack them into shared blocks so downstream passes walk
@@ -215,23 +211,18 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 	return ds, eco, nil
 }
 
-// trim collects the emitted records, dropping warmup traffic and
-// records starting after the observation window, and shifts timestamps
-// so the window starts at zero.
-func (g *Generator) trim() *trace.Dataset {
-	lo, hi := g.cfg.Warmup, g.cfg.Warmup+g.cfg.Duration
-	ds := &trace.Dataset{
-		DNS:   g.dns.collect(func(d *trace.DNSRecord) bool { return d.QueryTS >= lo && d.QueryTS <= hi }),
-		Conns: g.conns.collect(func(c *trace.ConnRecord) bool { return c.TS >= lo && c.TS <= hi }),
+// emitDNS keeps r when its query falls inside the observation window,
+// shifted so the window starts at zero, and drops it otherwise. Dropped
+// records are still built in full by the caller: building one draws its
+// DNS ID and may draw from the RNG, and those side effects shape every
+// later record.
+func (g *Generator) emitDNS(r trace.DNSRecord) {
+	if r.QueryTS < g.lo || r.QueryTS > g.hi {
+		return
 	}
-	for i := range ds.DNS {
-		ds.DNS[i].QueryTS -= lo
-		ds.DNS[i].TS -= lo
-	}
-	for i := range ds.Conns {
-		ds.Conns[i].TS -= lo
-	}
-	return ds
+	r.QueryTS -= g.lo
+	r.TS -= g.lo
+	g.dns.add(r)
 }
 
 // diurnal is the activity-rate multiplier at virtual time t: quiet
@@ -252,24 +243,19 @@ func diurnal(t time.Duration) float64 {
 // lookupOutcome is the application-visible result of resolving a name.
 type lookupOutcome struct {
 	// ready is when the answers are available to the application.
-	ready   time.Duration
-	answers []trace.Answer
-	// wire is true when a DNS transaction crossed the monitored link.
-	wire bool
-	// fromCache is the shared resolver cache outcome (wire lookups only).
-	fromCache bool
-	platform  resolver.PlatformID
-	// expired is true when the stub served a record past its TTL.
-	expired bool
-	rcode   uint8
+	ready time.Duration
+	// answers are read for their addresses only: a stub hit hands out the
+	// stub's stored slice.
+	answers  []trace.Answer
+	platform resolver.PlatformID
 }
 
 // lookup resolves host for device d at virtual time now, consulting the
 // device stub cache first and the device's resolver platforms otherwise.
 // Wire lookups emit a DNS record.
 func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutcome {
-	if sl, ok := d.stub.Get(now, host); ok {
-		return lookupOutcome{ready: now, answers: sl.Answers, expired: sl.Expired}
+	if sl, ok := d.stub.GetStored(now, host); ok {
+		return lookupOutcome{ready: now, answers: sl.Answers}
 	}
 	pid := d.pickPlatform(g.rng)
 	rec := g.platforms[pid]
@@ -292,16 +278,10 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		if len(res.Answers) > 0 {
 			d.stub.Put(done, host, res.Answers)
 		}
-		return lookupOutcome{
-			ready:     done,
-			answers:   res.Answers,
-			fromCache: res.FromCache,
-			platform:  pid,
-			rcode:     res.RCode,
-		}
+		return lookupOutcome{ready: done, answers: res.Answers, platform: pid}
 	}
 
-	g.dns.add(trace.DNSRecord{
+	g.emitDNS(trace.DNSRecord{
 		QueryTS:  now,
 		TS:       done,
 		Client:   d.house.addr,
@@ -321,21 +301,14 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		// The resolver is unreachable; a serve-stale stub (RFC 8767) falls
 		// back to an expired record rather than failing the application.
 		if sl, ok := d.stub.GetStale(done, host); ok {
-			return lookupOutcome{
-				ready:    done,
-				answers:  sl.Answers,
-				wire:     true,
-				platform: pid,
-				expired:  true,
-				rcode:    res.RCode,
-			}
+			return lookupOutcome{ready: done, answers: sl.Answers, platform: pid}
 		}
 	}
 	// Dual-stack clients issue a companion AAAA query; our namespace is
 	// v4-only, so the response is empty and the transaction never pairs
 	// with a connection.
 	if g.rng.Bool(g.cfg.DualStackProb) {
-		g.dns.add(trace.DNSRecord{
+		g.emitDNS(trace.DNSRecord{
 			QueryTS:  now,
 			TS:       done + time.Duration(g.rng.Intn(2000))*time.Microsecond,
 			Client:   d.house.addr,
@@ -346,24 +319,22 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 			RCode:    0,
 		})
 	}
-	return lookupOutcome{
-		ready:     done,
-		answers:   res.Answers,
-		wire:      true,
-		fromCache: res.FromCache,
-		platform:  pid,
-		rcode:     res.RCode,
-	}
+	return lookupOutcome{ready: done, answers: res.Answers, platform: pid}
 }
 
-// emitConn emits one connection record.
+// emitConn emits one connection record, kept under the same window rule
+// as emitDNS; a dropped record still takes its ephemeral port.
 func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, rport uint16, proto trace.Proto, tr transfer) {
+	port := h.ephemeralPort()
+	if start < g.lo || start > g.hi {
+		return
+	}
 	g.conns.add(trace.ConnRecord{
-		TS:        start,
+		TS:        start - g.lo,
 		Duration:  tr.duration,
 		Proto:     proto,
 		Orig:      h.addr,
-		OrigPort:  h.ephemeralPort(),
+		OrigPort:  port,
 		Resp:      remote,
 		RespPort:  rport,
 		OrigBytes: tr.origBytes,
@@ -431,9 +402,99 @@ func (g *Generator) edgeFactor(pid resolver.PlatformID, name *zonedb.Name) float
 	}
 }
 
+// eventKind names what an event does when its time comes up.
+type eventKind uint8
+
+const (
+	evBrowse   eventKind = iota // d starts a browsing session
+	evPageView                  // d loads page name; n more sequential pages follow if flag
+	evConnect                   // d resolves name and connects to it
+	evPrefetch                  // d prefetches name, and clicks it later if flag
+	evAppTick                   // d's app on name, period dur, wakes up
+	evProbe                     // d's connectivity probe fires
+	evIoT                       // d contacts iotArchetypes[n]
+	evP2P                       // d starts a burst of peer connections
+	evPeerConn                  // d opens one peer connection
+)
+
+// event is one scheduled behavior step. Events live by value in the
+// engine's heap, so scheduling one allocates nothing; the fields a kind
+// does not use stay zero.
+type event struct {
+	kind eventKind
+	flag bool
+	n    int32
+	d    *device
+	name *zonedb.Name
+	dur  time.Duration
+}
+
+// dispatch executes one event. The engine runs only until the end of the
+// observation window, so no event ever starts past it.
+func (g *Generator) dispatch(now time.Duration, ev event) {
+	d := ev.d
+	switch ev.kind {
+	case evBrowse:
+		pages := 1 + poisson(g.rng, g.cfg.PagesPerSession-1)
+		g.pageView(d, now, g.nextSite(d), pages-1, true)
+		g.scheduleBrowsing(d)
+	case evPageView:
+		g.pageView(d, now, ev.name, int(ev.n), ev.flag)
+	case evConnect:
+		g.connFor(d, now, ev.name)
+	case evPrefetch:
+		g.lookup(d, now, ev.name.Host)
+		if ev.flag {
+			// A clicked link is a page view of its own, but does not
+			// extend the sequential page chain.
+			delay := time.Duration(stats.LogNormalFromMedian(
+				g.cfg.ClickDelayMedian.Seconds(), 0.9).Sample(g.rng) * float64(time.Second))
+			g.sim.At(now+delay, event{kind: evPageView, d: d, name: ev.name})
+		}
+	case evAppTick:
+		if g.rng.Bool(g.cfg.AppResolveAheadProb) {
+			// Resolve now, transact later: background refresh schedulers
+			// resolve when the alarm fires and connect when the payload
+			// is ready.
+			g.lookup(d, now, ev.name.Host)
+			delay := time.Duration(2+g.rng.Intn(6)) * time.Minute
+			g.sim.At(now+delay, event{kind: evConnect, d: d, name: ev.name})
+		} else {
+			g.connFor(d, now, ev.name)
+		}
+		g.scheduleAppTick(d, ev.name, ev.dur)
+	case evProbe:
+		g.connForVia(d, now, g.zones.ConnectivityCheck, resolver.PlatformGoogle)
+		g.scheduleProbe(d)
+	case evIoT:
+		a := &iotArchetypes[ev.n]
+		var tr transfer
+		if a.port == 123 {
+			tr = g.tm.ntpTransfer(a.dead)
+		} else {
+			tr = g.tm.sample(zonedb.ServiceAPI, 1)
+		}
+		g.emitConn(now, d.house, a.addr, a.port, a.proto, tr)
+		g.scheduleIoT(d, int(ev.n))
+	case evP2P:
+		n := 9 + g.rng.Intn(26)
+		for i := 0; i < n; i++ {
+			at := now + time.Duration(g.rng.Intn(300))*time.Second
+			g.sim.At(at, event{kind: evPeerConn, d: d})
+		}
+		g.scheduleP2P(d)
+	case evPeerConn:
+		proto := trace.TCP
+		if g.rng.Bool(0.5) {
+			proto = trace.UDP
+		}
+		g.emitConn(now, d.house, g.peerAddr(), uint16(10000+g.rng.Intn(50000)), proto, g.tm.p2pTransfer())
+	}
+}
+
 // startHouse arms every device's behavior loops.
 func (g *Generator) startHouse(h *house) {
-	for _, d := range g.devices(h) {
+	for _, d := range h.devices {
 		switch d.kind {
 		case kindPhone:
 			g.scheduleBrowsing(d)
@@ -443,28 +504,20 @@ func (g *Generator) startHouse(h *house) {
 			g.scheduleBrowsing(d)
 			g.scheduleApps(d)
 		case kindIoT:
-			g.scheduleIoT(d)
+			// Each IoT device is one archetype.
+			g.scheduleIoT(d, min(d.house.idx%3+int(g.rng.Uint64n(2)), len(iotArchetypes)-1))
 		case kindP2P:
 			g.scheduleP2P(d)
 		}
 	}
 }
 
-func (g *Generator) devices(h *house) []*device { return h.devices }
-
 // --- Browsing ---
 
 func (g *Generator) scheduleBrowsing(d *device) {
 	meanGap := 24 * time.Hour / time.Duration(math.Max(g.cfg.SessionsPerDay, 0.01))
 	gap := time.Duration(float64(meanGap) * g.rng.ExpFloat64() / diurnal(g.sim.Now()))
-	g.sim.After(gap, func(now time.Duration) {
-		if now > g.end() {
-			return
-		}
-		pages := 1 + poisson(g.rng, g.cfg.PagesPerSession-1)
-		g.pageView(d, now, g.nextSite(d), pages-1, true)
-		g.scheduleBrowsing(d)
-	})
+	g.sim.After(gap, event{kind: evBrowse, d: d})
 }
 
 // nextSite picks the target of a page view: a working-set revisit or a
@@ -524,9 +577,6 @@ func (g *Generator) pickEmbedded(h *house) *zonedb.Name {
 // chain (real users have bounded attention) and keeps the page process
 // subcritical.
 func (g *Generator) pageView(d *device, now time.Duration, site *zonedb.Name, remaining int, sequential bool) {
-	if now > g.end() {
-		return
-	}
 	start, ok := g.connFor(d, now, site)
 	if !ok {
 		start = now
@@ -537,12 +587,7 @@ func (g *Generator) pageView(d *device, now time.Duration, site *zonedb.Name, re
 	for i := 0; i < k; i++ {
 		name := g.pickEmbedded(d.house)
 		at := start + time.Duration(50+g.rng.Intn(1200))*time.Millisecond
-		g.sim.At(at, func(t time.Duration) {
-			if t > g.end() {
-				return
-			}
-			g.connFor(d, t, name)
-		})
+		g.sim.At(at, event{kind: evConnect, d: d, name: name})
 	}
 
 	// Speculative link prefetch: lookup now, maybe click much later.
@@ -551,21 +596,7 @@ func (g *Generator) pageView(d *device, now time.Duration, site *zonedb.Name, re
 		target := g.pickPrefetchTarget(d)
 		at := start + time.Duration(200+g.rng.Intn(1800))*time.Millisecond
 		click := sequential && g.rng.Bool(g.cfg.PrefetchClickProb)
-		g.sim.At(at, func(t time.Duration) {
-			if t > g.end() {
-				return
-			}
-			g.lookup(d, t, target.Host)
-			if click {
-				delay := time.Duration(stats.LogNormalFromMedian(
-					g.cfg.ClickDelayMedian.Seconds(), 0.9).Sample(g.rng) * float64(time.Second))
-				g.sim.At(t+delay, func(ct time.Duration) {
-					// A clicked link is a page view of its own, but does
-					// not extend the sequential page chain.
-					g.pageView(d, ct, target, 0, false)
-				})
-			}
-		})
+		g.sim.At(at, event{kind: evPrefetch, d: d, name: target, flag: click})
 	}
 
 	// Family co-activity: another device in the house follows the same
@@ -573,12 +604,7 @@ func (g *Generator) pageView(d *device, now time.Duration, site *zonedb.Name, re
 	if g.rng.Bool(g.cfg.SharedVisitProb) {
 		if other := g.otherBrowsingDevice(d); other != nil {
 			at := now + time.Duration(30+g.rng.Intn(270))*time.Second
-			g.sim.At(at, func(t time.Duration) {
-				if t > g.end() {
-					return
-				}
-				g.pageView(other, t, site, 0, false)
-			})
+			g.sim.At(at, event{kind: evPageView, d: other, name: site})
 		}
 	}
 
@@ -586,58 +612,50 @@ func (g *Generator) pageView(d *device, now time.Duration, site *zonedb.Name, re
 		dwell := time.Duration(stats.LogNormalFromMedian(
 			g.cfg.DwellMedian.Seconds(), 1.1).Sample(g.rng) * float64(time.Second))
 		next := g.nextSite(d)
-		g.sim.At(now+dwell, func(t time.Duration) {
-			g.pageView(d, t, next, remaining-1, true)
-		})
+		g.sim.At(now+dwell, event{kind: evPageView, d: d, name: next, n: int32(remaining - 1), flag: true})
 	}
 }
 
 // otherBrowsingDevice picks a random browsing device in d's house other
 // than d, or nil when the house has no other browser.
 func (g *Generator) otherBrowsingDevice(d *device) *device {
-	var others []*device
+	n := 0
 	for _, o := range d.house.devices {
-		if o != d && (o.kind == kindPhone || o.kind == kindLaptop) {
-			others = append(others, o)
+		if o.browses(d) {
+			n++
 		}
 	}
-	if len(others) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return others[g.rng.Intn(len(others))]
+	k := g.rng.Intn(n)
+	for _, o := range d.house.devices {
+		if o.browses(d) {
+			if k == 0 {
+				return o
+			}
+			k--
+		}
+	}
+	panic("unreachable")
+}
+
+// browses reports whether o is a browsing device other than d.
+func (o *device) browses(d *device) bool {
+	return o != d && (o.kind == kindPhone || o.kind == kindLaptop)
 }
 
 // --- Background apps ---
 
 func (g *Generator) scheduleApps(d *device) {
-	for i := range d.apps {
-		g.scheduleAppTick(d, d.apps[i])
+	for _, app := range d.apps {
+		g.scheduleAppTick(d, app.name, app.period)
 	}
 }
 
-func (g *Generator) scheduleAppTick(d *device, app appProfile) {
-	gap := time.Duration(float64(app.period) * (0.6 + 0.8*g.rng.Float64()))
-	g.sim.After(gap, func(now time.Duration) {
-		if now > g.end() {
-			return
-		}
-		if g.rng.Bool(g.cfg.AppResolveAheadProb) {
-			// Resolve now, transact later: background refresh schedulers
-			// resolve when the alarm fires and connect when the payload
-			// is ready.
-			g.lookup(d, now, app.name.Host)
-			delay := time.Duration(2+g.rng.Intn(6)) * time.Minute
-			g.sim.At(now+delay, func(t time.Duration) {
-				if t > g.end() {
-					return
-				}
-				g.connFor(d, t, app.name)
-			})
-		} else {
-			g.connFor(d, now, app.name)
-		}
-		g.scheduleAppTick(d, app)
-	})
+func (g *Generator) scheduleAppTick(d *device, name *zonedb.Name, period time.Duration) {
+	gap := time.Duration(float64(period) * (0.6 + 0.8*g.rng.Float64()))
+	g.sim.After(gap, event{kind: evAppTick, d: d, name: name, dur: period})
 }
 
 // --- Android connectivity probes ---
@@ -645,70 +663,37 @@ func (g *Generator) scheduleAppTick(d *device, app appProfile) {
 func (g *Generator) scheduleProbe(d *device) {
 	gap := time.Duration(stats.LogNormalFromMedian(
 		g.cfg.ProbePeriodMedian.Seconds(), 0.5).Sample(g.rng) * float64(time.Second))
-	g.sim.After(gap, func(now time.Duration) {
-		if now > g.end() {
-			return
-		}
-		g.connForVia(d, now, g.zones.ConnectivityCheck, resolver.PlatformGoogle)
-		g.scheduleProbe(d)
-	})
+	g.sim.After(gap, event{kind: evProbe, d: d})
 }
 
 // --- IoT gear with hard-coded servers ---
 
-func (g *Generator) scheduleIoT(d *device) {
-	// Each IoT device is one archetype.
-	switch d.house.idx%3 + int(g.rng.Uint64n(2)) {
-	case 0:
-		g.scheduleHardcoded(d, deadNTPAddr, 123, trace.UDP, 45*time.Minute, true)
-	case 1:
-		g.scheduleHardcoded(d, oomaNTPAddr, 123, trace.UDP, 60*time.Minute, false)
-	default:
-		g.scheduleHardcoded(d, alarmNetAddr, 443, trace.TCP, 60*time.Minute, false)
-	}
+// iotArchetype is one kind of IoT gear: a hard-coded server it contacts
+// about once per period.
+type iotArchetype struct {
+	addr   netip.Addr
+	port   uint16
+	proto  trace.Proto
+	period time.Duration
+	dead   bool // the server no longer answers
 }
 
-func (g *Generator) scheduleHardcoded(d *device, addr netip.Addr, port uint16, proto trace.Proto, period time.Duration, dead bool) {
-	gap := time.Duration(float64(period) * (0.7 + 0.6*g.rng.Float64()))
-	g.sim.After(gap, func(now time.Duration) {
-		if now > g.end() {
-			return
-		}
-		var tr transfer
-		if port == 123 {
-			tr = g.tm.ntpTransfer(dead)
-		} else {
-			tr = g.tm.sample(zonedb.ServiceAPI, 1)
-		}
-		g.emitConn(now, d.house, addr, port, proto, tr)
-		g.scheduleHardcoded(d, addr, port, proto, period, dead)
-	})
+var iotArchetypes = [...]iotArchetype{
+	{deadNTPAddr, 123, trace.UDP, 45 * time.Minute, true},
+	{oomaNTPAddr, 123, trace.UDP, 60 * time.Minute, false},
+	{alarmNetAddr, 443, trace.TCP, 60 * time.Minute, false},
+}
+
+func (g *Generator) scheduleIoT(d *device, archetype int) {
+	gap := time.Duration(float64(iotArchetypes[archetype].period) * (0.7 + 0.6*g.rng.Float64()))
+	g.sim.After(gap, event{kind: evIoT, d: d, n: int32(archetype)})
 }
 
 // --- Peer-to-peer ---
 
 func (g *Generator) scheduleP2P(d *device) {
 	gap := time.Duration(float64(40*time.Minute) * g.rng.ExpFloat64())
-	g.sim.After(gap, func(now time.Duration) {
-		if now > g.end() {
-			return
-		}
-		n := 9 + g.rng.Intn(26)
-		for i := 0; i < n; i++ {
-			at := now + time.Duration(g.rng.Intn(300))*time.Second
-			g.sim.At(at, func(t time.Duration) {
-				if t > g.end() {
-					return
-				}
-				proto := trace.TCP
-				if g.rng.Bool(0.5) {
-					proto = trace.UDP
-				}
-				g.emitConn(t, d.house, g.peerAddr(), uint16(10000+g.rng.Intn(50000)), proto, g.tm.p2pTransfer())
-			})
-		}
-		g.scheduleP2P(d)
-	})
+	g.sim.After(gap, event{kind: evP2P, d: d})
 }
 
 // peerAddr draws a random remote peer (never colliding with server or
@@ -717,15 +702,12 @@ func (g *Generator) peerAddr() netip.Addr {
 	return netip.AddrFrom4([4]byte{45, byte(g.rng.Intn(256)), byte(g.rng.Intn(256)), byte(1 + g.rng.Intn(254))})
 }
 
-// end is the virtual time at which behaviors stop (warmup plus window).
-func (g *Generator) end() time.Duration { return g.cfg.Warmup + g.cfg.Duration }
-
 // connForVia is connFor with a forced resolver platform (used for Android
 // connectivity probes, which always use the phone's configured Google
 // DNS). It falls back to the device's normal choice when the platform is
 // not configured in the simulation.
 func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, pid resolver.PlatformID) {
-	if sl, ok := d.stub.Get(now, name.Host); ok {
+	if sl, ok := d.stub.GetStored(now, name.Host); ok {
 		if len(sl.Answers) == 0 {
 			return
 		}
@@ -741,7 +723,7 @@ func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, 
 	}
 	res := rec.LookupConn(d.connState(pid, rec), now, name.Host, d.retry)
 	done := now + res.Duration
-	g.dns.add(trace.DNSRecord{
+	g.emitDNS(trace.DNSRecord{
 		QueryTS: now, TS: done, Client: d.house.addr, Resolver: res.Resolver,
 		ID: d.house.dnsID(), Query: name.Host, QType: 1, RCode: res.RCode, Answers: res.Answers,
 		Retries: uint8(res.Retries()), TC: res.TCPFallback,

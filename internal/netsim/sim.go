@@ -11,28 +11,40 @@ import (
 	"dnscontext/internal/obs"
 )
 
-// Event is a callback scheduled to run at a virtual time.
+// Event is a callback scheduled to run at a virtual time: the event type
+// of Sim, the closure flavour of the engine.
 type Event func(now time.Duration)
 
-type item struct {
-	at  time.Duration
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  Event
+// Sim is the engine whose events are closures, each run when its time
+// comes up.
+type Sim = Engine[Event]
+
+// New returns an empty closure simulator with the clock at zero.
+func New() *Sim {
+	return NewEngine(func(now time.Duration, fn Event) { fn(now) })
 }
 
-// eventQueue is a binary min-heap of events ordered by (at, seq). The
-// order is total — seq is unique — so the pop sequence is fixed by the
-// scheduled events alone, whatever the heap's internal layout.
-type eventQueue []*item
+type item[E any] struct {
+	at  time.Duration
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	ev  E
+}
 
-func (q eventQueue) less(i, j int) bool {
+// eventQueue is a binary min-heap of events ordered by (at, seq), holding
+// them by value: scheduling an event allocates nothing once the heap has
+// grown. The order is total — seq is unique — so the pop sequence is
+// fixed by the scheduled events alone, whatever the heap's internal
+// layout.
+type eventQueue[E any] []item[E]
+
+func (q eventQueue[E]) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q *eventQueue) push(it *item) {
+func (q *eventQueue[E]) push(it item[E]) {
 	*q = append(*q, it)
 	h := *q
 	for j := len(h) - 1; j > 0; {
@@ -45,12 +57,12 @@ func (q *eventQueue) push(it *item) {
 	}
 }
 
-func (q *eventQueue) pop() *item {
+func (q *eventQueue[E]) pop() item[E] {
 	h := *q
 	n := len(h) - 1
 	it := h[0]
 	h[0] = h[n]
-	h[n] = nil
+	h[n] = item[E]{} // release the event's references
 	h = h[:n]
 	for i := 0; ; {
 		j := 2*i + 1
@@ -70,12 +82,22 @@ func (q *eventQueue) pop() *item {
 	return it
 }
 
-// Sim is a discrete-event simulator. The zero value is not usable; call New.
-type Sim struct {
+// Engine is a discrete-event simulator over event values of type E, each
+// handed to the engine's run function when its time comes up. A caller
+// with a fixed set of event kinds uses a small struct for E and one
+// dispatch function, so the event loop allocates nothing per event. The
+// zero value is not usable; call NewEngine.
+type Engine[E any] struct {
 	now    time.Duration
-	queue  eventQueue
+	queue  eventQueue[E]
 	seq    uint64
 	events uint64
+	run    func(now time.Duration, ev E)
+
+	// handles maps the seq of each pending Schedule'd event to whether it
+	// was cancelled. It stays nil until the first Schedule, so At-only
+	// engines pay one nil check per event for cancellation support.
+	handles map[uint64]bool
 
 	// Optional observability hooks; nil instruments are no-ops, so an
 	// unobserved simulator pays one nil check per event. Instruments
@@ -86,93 +108,109 @@ type Sim struct {
 	obsDepthMax *obs.Gauge
 }
 
+// NewEngine returns an empty engine with the clock at zero that executes
+// each event by calling run with the event's time and value.
+func NewEngine[E any](run func(now time.Duration, ev E)) *Engine[E] {
+	return &Engine[E]{run: run}
+}
+
 // Observe mirrors event-loop activity into the given instruments:
 // events counts executed events, depth tracks the pending-queue length
 // (sampled after each executed event), and depthMax its high-water mark.
 // Any of them may be nil.
-func (s *Sim) Observe(events *obs.Counter, depth, depthMax *obs.Gauge) {
+func (s *Engine[E]) Observe(events *obs.Counter, depth, depthMax *obs.Gauge) {
 	s.obsEvents = events
 	s.obsDepth = depth
 	s.obsDepthMax = depthMax
 }
 
-// New returns an empty simulator with the clock at zero.
-func New() *Sim {
-	return &Sim{}
-}
-
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.now }
+func (s *Engine[E]) Now() time.Duration { return s.now }
 
 // Events returns the number of events executed so far.
-func (s *Sim) Events() uint64 { return s.events }
+func (s *Engine[E]) Events() uint64 { return s.events }
 
 // Pending returns the number of scheduled-but-unexecuted events.
 // Cancelled events still occupy their slot until their time comes up, so
 // the count is an upper bound while cancellations are in flight.
-func (s *Sim) Pending() int { return len(s.queue) }
+func (s *Engine[E]) Pending() int { return len(s.queue) }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
+// At schedules ev to run at absolute virtual time at. Scheduling in the
 // past panics: it indicates a logic error that would otherwise silently
 // reorder causality.
-func (s *Sim) At(at time.Duration, fn Event) {
+func (s *Engine[E]) At(at time.Duration, ev E) {
 	if at < s.now {
 		panic(fmt.Sprintf("netsim: scheduling event at %v, before now %v", at, s.now))
 	}
 	s.seq++
-	s.queue.push(&item{at: at, seq: s.seq, fn: fn})
+	s.queue.push(item[E]{at: at, seq: s.seq, ev: ev})
 }
 
-// After schedules fn to run delay after the current virtual time. Negative
-// delays are clamped to zero.
-func (s *Sim) After(delay time.Duration, fn Event) {
+// After schedules ev to run delay after the current virtual time.
+// Negative delays are clamped to zero.
+func (s *Engine[E]) After(delay time.Duration, ev E) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.At(s.now+delay, fn)
+	s.At(s.now+delay, ev)
 }
 
 // Handle identifies a scheduled event so it can be cancelled — the
 // primitive timeout modelling needs: schedule a deadline, cancel it when
 // the awaited response arrives first.
 type Handle struct {
-	it *item
+	handles map[uint64]bool
+	seq     uint64
 }
 
 // Cancel withdraws the event. It reports whether the event was still
 // pending; cancelling an executed or already-cancelled event is a no-op.
 // The queue slot is reclaimed lazily when the event's time comes up.
 func (h *Handle) Cancel() bool {
-	if h == nil || h.it == nil || h.it.fn == nil {
+	if h == nil {
 		return false
 	}
-	h.it.fn = nil
+	cancelled, pending := h.handles[h.seq]
+	if !pending || cancelled {
+		return false
+	}
+	h.handles[h.seq] = true
 	return true
 }
 
 // Schedule is At returning a cancellable Handle. Cancelled events do not
 // execute, do not advance the clock, and do not count toward Events().
-func (s *Sim) Schedule(at time.Duration, fn Event) *Handle {
-	if at < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %v, before now %v", at, s.now))
+func (s *Engine[E]) Schedule(at time.Duration, ev E) *Handle {
+	s.At(at, ev)
+	if s.handles == nil {
+		s.handles = make(map[uint64]bool)
 	}
-	s.seq++
-	it := &item{at: at, seq: s.seq, fn: fn}
-	s.queue.push(it)
-	return &Handle{it: it}
+	s.handles[s.seq] = false
+	return &Handle{handles: s.handles, seq: s.seq}
+}
+
+// settle forgets the handle of the just-popped event with sequence seq,
+// reporting whether that event was cancelled.
+func (s *Engine[E]) settle(seq uint64) (cancelled bool) {
+	if s.handles == nil {
+		return false
+	}
+	cancelled = s.handles[seq]
+	delete(s.handles, seq)
+	return cancelled
 }
 
 // Step executes the single earliest pending event, discarding cancelled
 // ones along the way. It reports whether an event was executed.
-func (s *Sim) Step() bool {
+func (s *Engine[E]) Step() bool {
 	for len(s.queue) > 0 {
 		it := s.queue.pop()
-		if it.fn == nil {
-			continue // cancelled
+		if s.settle(it.seq) {
+			continue
 		}
 		s.now = it.at
 		s.events++
-		it.fn(s.now)
+		s.run(s.now, it.ev)
 		s.obsEvents.Inc()
 		depth := int64(len(s.queue))
 		s.obsDepth.Set(depth)
@@ -185,10 +223,10 @@ func (s *Sim) Step() bool {
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than end. The clock finishes at end (or at the last
 // executed event if the queue drains first and that is later).
-func (s *Sim) RunUntil(end time.Duration) {
+func (s *Engine[E]) RunUntil(end time.Duration) {
 	for len(s.queue) > 0 {
-		if s.queue[0].fn == nil {
-			s.queue.pop()
+		if s.handles != nil && s.handles[s.queue[0].seq] {
+			s.settle(s.queue.pop().seq)
 			continue
 		}
 		if s.queue[0].at > end {
@@ -203,7 +241,7 @@ func (s *Sim) RunUntil(end time.Duration) {
 
 // Run executes every pending event, including events scheduled by events.
 // Use RunUntil for workloads that self-perpetuate.
-func (s *Sim) Run() {
+func (s *Engine[E]) Run() {
 	for s.Step() {
 	}
 }

@@ -6,7 +6,6 @@
 package resolver
 
 import (
-	"container/list"
 	"time"
 
 	"dnscontext/internal/obs"
@@ -17,9 +16,7 @@ import (
 // original answers with their insertion time so reads return decremented
 // remaining TTLs, as real resolvers do.
 type Cache struct {
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
+	lru lru[cacheEntry]
 
 	hits, misses, expired, evictions uint64
 
@@ -29,7 +26,6 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	host       string
 	answers    []trace.Answer // TTLs as stored (full lifetime from insertedAt)
 	rcode      uint8
 	insertedAt time.Duration
@@ -39,16 +35,12 @@ type cacheEntry struct {
 // NewCache returns a cache holding at most capacity entries; capacity <= 0
 // means unbounded.
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
+	return &Cache{lru: newLRU[cacheEntry](capacity)}
 }
 
 // Len returns the number of live entries (including expired ones not yet
 // evicted).
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.lru.len() }
 
 // Stats returns cumulative hit/miss/expired-hit counters.
 func (c *Cache) Stats() (hits, misses, expired uint64) {
@@ -72,23 +64,12 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 			life = a.TTL
 		}
 	}
-	e := &cacheEntry{
-		host:       host,
+	if c.lru.put(host, cacheEntry{
 		answers:    answers,
 		rcode:      rcode,
 		insertedAt: now,
 		expiresAt:  now + life,
-	}
-	if el, ok := c.entries[host]; ok {
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[host] = c.lru.PushFront(e)
-	if c.capacity > 0 && c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).host)
+	}) {
 		c.evictions++
 		c.evictCtr.Inc()
 	}
@@ -97,47 +78,46 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 // Get returns the unexpired answers for host with remaining TTLs, or
 // ok=false on a miss or expiry. Expired entries are evicted.
 func (c *Cache) Get(now time.Duration, host string) (answers []trace.Answer, rcode uint8, ok bool) {
-	el, found := c.entries[host]
+	i, e, found := c.lru.find(host)
 	if !found {
 		c.misses++
 		return nil, 0, false
 	}
-	e := el.Value.(*cacheEntry)
 	if now >= e.expiresAt {
 		c.expired++
 		c.misses++
-		c.lru.Remove(el)
-		delete(c.entries, host)
+		c.lru.remove(i)
 		return nil, 0, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return remainingTTLs(e, now), e.rcode, true
+	c.lru.touch(i)
+	return remainingTTLs(e.answers, e.insertedAt, now), e.rcode, true
 }
 
 // Peek is Get without statistics, LRU promotion, or eviction; the refresh
 // simulator uses it to inspect cache state.
 func (c *Cache) Peek(now time.Duration, host string) (expiresAt time.Duration, ok bool) {
-	el, found := c.entries[host]
+	_, e, found := c.lru.find(host)
 	if !found {
 		return 0, false
 	}
-	e := el.Value.(*cacheEntry)
 	if now >= e.expiresAt {
 		return e.expiresAt, false
 	}
 	return e.expiresAt, true
 }
 
-func remainingTTLs(e *cacheEntry, now time.Duration) []trace.Answer {
-	age := now - e.insertedAt
+// remainingTTLs copies answers stored at insertedAt with the TTLs left at
+// now, clamped at zero.
+func remainingTTLs(answers []trace.Answer, insertedAt, now time.Duration) []trace.Answer {
+	age := now - insertedAt
 	if age < 0 {
 		// Entries are stamped with the time their response completes; a
 		// concurrent reader a moment earlier sees the full TTL.
 		age = 0
 	}
-	out := make([]trace.Answer, len(e.answers))
-	for i, a := range e.answers {
+	out := make([]trace.Answer, len(answers))
+	for i, a := range answers {
 		rem := a.TTL - age
 		if rem < 0 {
 			rem = 0
