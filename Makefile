@@ -25,9 +25,9 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzReadShardFile \
 	./internal/dnswire:FuzzDecode
 
-.PHONY: loc check vet build test race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
+.PHONY: loc check vet build test race golden-1cpu perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos scaling-gate bench bench-all bench-parallel bench-compare scan-bench profile fuzz cover
 
-check: vet build race perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos
+check: vet build race golden-1cpu perfbench-test obs-determinism stream-parity transport-matrix scan soak chaos
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The goldens and draw-order contracts on one CPU. The generator draws
+# connection transfers on a second goroutine; with GOMAXPROCS=1 that
+# goroutine and the simulation interleave only at the scheduler's whim,
+# so this pins that the output cannot depend on the interleaving.
+golden-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Golden|DrawOrder' ./internal/core ./internal/resolver ./internal/households
 
 # The end-to-end benchmark is a module of its own (perfbench/go.mod), so
 # `./...` above never builds or tests it; this target catches a library

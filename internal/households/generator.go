@@ -30,16 +30,17 @@ type Generator struct {
 	auth      *resolver.Authority
 	platforms map[resolver.PlatformID]*resolver.Recursive
 	profiles  []resolver.PlatformProfile
-	tm        *transferModel
 	houses    []*house
 
 	// lo and hi bound the observation window on the simulator clock,
 	// which starts Warmup before it. Records inside the window are
 	// emitted, shifted so the window starts at zero, into fixed-size
 	// segments; Generate copies them out once, into exactly sized slices.
+	// DNS records are emitted here; connections go through fin, which
+	// draws their transfers on a goroutine of its own.
 	lo, hi time.Duration
 	dns    segments[trace.DNSRecord]
-	conns  segments[trace.ConnRecord]
+	fin    *finisher
 }
 
 // segmentLen is the number of records per emission segment.
@@ -143,7 +144,7 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 		hi:  cfg.Warmup + cfg.Duration,
 	}
 	g.sim = netsim.NewEngine(g.dispatch)
-	g.tm = newTransferModel(g.rng.Split())
+	tm := newTransferModel(g.rng.Split())
 
 	zones, err := zonedb.New(cfg.Zone, g.rng.Split())
 	if err != nil {
@@ -194,6 +195,10 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 		)
 	}
 
+	// Nothing past this point fails, and the deferred close joins the
+	// finisher even if the simulation panics.
+	g.fin = startFinisher(tm, g.lo, g.hi)
+	defer g.fin.close()
 	for i := 0; i < cfg.Houses; i++ {
 		h := g.buildHouse(i)
 		g.houses = append(g.houses, h)
@@ -201,11 +206,13 @@ func Generate(cfg Config) (*trace.Dataset, *Ecosystem, error) {
 	}
 
 	g.sim.RunUntil(g.hi)
-	ds := &trace.Dataset{DNS: g.dns.collect(), Conns: g.conns.collect()}
+	g.fin.close()
+	ds := &trace.Dataset{DNS: g.dns.collect(), Conns: g.fin.conns.collect()}
 	ds.SortByTime()
-	// The simulated resolvers hand each record its own small Answers
-	// backing; repack them into shared blocks so downstream passes walk
-	// contiguous memory instead of pointer-chasing tiny allocations.
+	// The records' Answers alias the resolvers' shared answer table and
+	// the stub caches; repack them into one block of the dataset's own,
+	// so downstream passes walk contiguous memory and no record aliases
+	// resolver state.
 	ds.CompactAnswers()
 	eco := &Ecosystem{Zones: zones, Platforms: g.platforms, Profiles: g.profiles}
 	return ds, eco, nil
@@ -250,16 +257,16 @@ type lookupOutcome struct {
 	platform resolver.PlatformID
 }
 
-// lookup resolves host for device d at virtual time now, consulting the
+// lookup resolves name for device d at virtual time now, consulting the
 // device stub cache first and the device's resolver platforms otherwise.
 // Wire lookups emit a DNS record.
-func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutcome {
-	if sl, ok := d.stub.GetStored(now, host); ok {
+func (g *Generator) lookup(d *device, now time.Duration, name *zonedb.Name) lookupOutcome {
+	if sl, ok := d.stub.GetStored(now, name.ID); ok {
 		return lookupOutcome{ready: now, answers: sl.Answers}
 	}
 	pid := d.pickPlatform(g.rng)
 	rec := g.platforms[pid]
-	res := rec.LookupConn(d.connState(pid, rec), now, host, d.retry)
+	res := rec.LookupConn(d.connState(pid, rec), now, name, d.retry)
 	done := now + res.Duration
 
 	if d.dot {
@@ -270,13 +277,15 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		if g.cfg.EncryptedDNSDoH {
 			dnsPort = 443
 		}
-		g.emitConn(now, d.house, res.Resolver, dnsPort, trace.TCP, transfer{
+		// The sizes come from the simulation's RNG, so they are drawn
+		// here, in simulation order, and the finisher takes them as given.
+		g.emitConn(now, d.house, res.Resolver, dnsPort, trace.TCP, xferSpec{kind: xferFixed, fixed: transfer{
 			origBytes: 120 + int64(g.rng.Intn(100)),
 			respBytes: 200 + int64(g.rng.Intn(400)),
 			duration:  res.Duration,
-		})
+		}})
 		if len(res.Answers) > 0 {
-			d.stub.Put(done, host, res.Answers)
+			d.stub.Put(done, name.ID, res.Answers)
 		}
 		return lookupOutcome{ready: done, answers: res.Answers, platform: pid}
 	}
@@ -287,7 +296,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		Client:   d.house.addr,
 		Resolver: res.Resolver,
 		ID:       d.house.dnsID(),
-		Query:    host,
+		Query:    name.Host,
 		QType:    uint16(1),
 		RCode:    res.RCode,
 		Answers:  res.Answers,
@@ -295,12 +304,12 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 		TC:       res.TCPFallback,
 	})
 	if len(res.Answers) > 0 {
-		d.stub.Put(done, host, res.Answers)
+		d.stub.Put(done, name.ID, res.Answers)
 	}
 	if res.ServFail {
 		// The resolver is unreachable; a serve-stale stub (RFC 8767) falls
 		// back to an expired record rather than failing the application.
-		if sl, ok := d.stub.GetStale(done, host); ok {
+		if sl, ok := d.stub.GetStale(done, name.ID); ok {
 			return lookupOutcome{ready: done, answers: sl.Answers, platform: pid}
 		}
 	}
@@ -314,7 +323,7 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 			Client:   d.house.addr,
 			Resolver: res.Resolver,
 			ID:       d.house.dnsID(),
-			Query:    host,
+			Query:    name.Host,
 			QType:    uint16(28),
 			RCode:    0,
 		})
@@ -322,23 +331,20 @@ func (g *Generator) lookup(d *device, now time.Duration, host string) lookupOutc
 	return lookupOutcome{ready: done, answers: res.Answers, platform: pid}
 }
 
-// emitConn emits one connection record, kept under the same window rule
-// as emitDNS; a dropped record still takes its ephemeral port.
-func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, rport uint16, proto trace.Proto, tr transfer) {
-	port := h.ephemeralPort()
-	if start < g.lo || start > g.hi {
-		return
-	}
-	g.conns.add(trace.ConnRecord{
-		TS:        start - g.lo,
-		Duration:  tr.duration,
-		Proto:     proto,
-		Orig:      h.addr,
-		OrigPort:  port,
-		Resp:      remote,
-		RespPort:  rport,
-		OrigBytes: tr.origBytes,
-		RespBytes: tr.respBytes,
+// emitConn emits one connection record. It takes the ephemeral port
+// here, in simulation order, and queues the rest on the finisher, which
+// draws the transfer x and keeps the record under the same window rule
+// as emitDNS; a dropped record still takes its port and draws its
+// transfer.
+func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, rport uint16, proto trace.Proto, x xferSpec) {
+	g.fin.add(connReq{
+		start:  start,
+		orig:   h.addr,
+		port:   h.ephemeralPort(),
+		remote: remote,
+		rport:  rport,
+		proto:  proto,
+		xfer:   x,
 	})
 }
 
@@ -346,7 +352,7 @@ func (g *Generator) emitConn(start time.Duration, h *house, remote netip.Addr, r
 // the lookup when the record was not locally available. It returns the
 // connection start time, or ok=false when resolution failed.
 func (g *Generator) connFor(d *device, now time.Duration, name *zonedb.Name) (time.Duration, bool) {
-	lo := g.lookup(d, now, name.Host)
+	lo := g.lookup(d, now, name)
 	if len(lo.answers) == 0 {
 		return 0, false
 	}
@@ -365,12 +371,11 @@ func (g *Generator) connFor(d *device, now time.Duration, name *zonedb.Name) (ti
 	if lo.ready > now {
 		factor = g.edgeFactor(lo.platform, name)
 	}
-	tr := g.tm.sample(name.Service, factor)
 	proto := trace.TCP
 	if name.Service == zonedb.ServiceWeb && g.rng.Bool(0.10) {
 		proto = trace.UDP // QUIC, carried as a UDP "connection"
 	}
-	g.emitConn(start, d.house, remote, name.Port, proto, tr)
+	g.emitConn(start, d.house, remote, name.Port, proto, serviceXfer(name.Service, factor))
 	return start, true
 }
 
@@ -443,7 +448,7 @@ func (g *Generator) dispatch(now time.Duration, ev event) {
 	case evConnect:
 		g.connFor(d, now, ev.name)
 	case evPrefetch:
-		g.lookup(d, now, ev.name.Host)
+		g.lookup(d, now, ev.name)
 		if ev.flag {
 			// A clicked link is a page view of its own, but does not
 			// extend the sequential page chain.
@@ -456,7 +461,7 @@ func (g *Generator) dispatch(now time.Duration, ev event) {
 			// Resolve now, transact later: background refresh schedulers
 			// resolve when the alarm fires and connect when the payload
 			// is ready.
-			g.lookup(d, now, ev.name.Host)
+			g.lookup(d, now, ev.name)
 			delay := time.Duration(2+g.rng.Intn(6)) * time.Minute
 			g.sim.At(now+delay, event{kind: evConnect, d: d, name: ev.name})
 		} else {
@@ -468,13 +473,11 @@ func (g *Generator) dispatch(now time.Duration, ev event) {
 		g.scheduleProbe(d)
 	case evIoT:
 		a := &iotArchetypes[ev.n]
-		var tr transfer
+		x := serviceXfer(zonedb.ServiceAPI, 1)
 		if a.port == 123 {
-			tr = g.tm.ntpTransfer(a.dead)
-		} else {
-			tr = g.tm.sample(zonedb.ServiceAPI, 1)
+			x = xferSpec{kind: xferNTP, dead: a.dead}
 		}
-		g.emitConn(now, d.house, a.addr, a.port, a.proto, tr)
+		g.emitConn(now, d.house, a.addr, a.port, a.proto, x)
 		g.scheduleIoT(d, int(ev.n))
 	case evP2P:
 		n := 9 + g.rng.Intn(26)
@@ -488,7 +491,7 @@ func (g *Generator) dispatch(now time.Duration, ev event) {
 		if g.rng.Bool(0.5) {
 			proto = trace.UDP
 		}
-		g.emitConn(now, d.house, g.peerAddr(), uint16(10000+g.rng.Intn(50000)), proto, g.tm.p2pTransfer())
+		g.emitConn(now, d.house, g.peerAddr(), uint16(10000+g.rng.Intn(50000)), proto, xferSpec{kind: xferP2P})
 	}
 }
 
@@ -707,13 +710,12 @@ func (g *Generator) peerAddr() netip.Addr {
 // DNS). It falls back to the device's normal choice when the platform is
 // not configured in the simulation.
 func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, pid resolver.PlatformID) {
-	if sl, ok := d.stub.GetStored(now, name.Host); ok {
+	if sl, ok := d.stub.GetStored(now, name.ID); ok {
 		if len(sl.Answers) == 0 {
 			return
 		}
 		start := now + g.appStartDelay()/4
-		tr := g.tm.sample(name.Service, 1)
-		g.emitConn(start, d.house, sl.Answers[g.rng.Intn(len(sl.Answers))].Addr, name.Port, trace.TCP, tr)
+		g.emitConn(start, d.house, sl.Answers[g.rng.Intn(len(sl.Answers))].Addr, name.Port, trace.TCP, serviceXfer(name.Service, 1))
 		return
 	}
 	rec, ok := g.platforms[pid]
@@ -721,7 +723,7 @@ func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, 
 		g.connFor(d, now, name)
 		return
 	}
-	res := rec.LookupConn(d.connState(pid, rec), now, name.Host, d.retry)
+	res := rec.LookupConn(d.connState(pid, rec), now, name, d.retry)
 	done := now + res.Duration
 	g.emitDNS(trace.DNSRecord{
 		QueryTS: now, TS: done, Client: d.house.addr, Resolver: res.Resolver,
@@ -731,8 +733,7 @@ func (g *Generator) connForVia(d *device, now time.Duration, name *zonedb.Name, 
 	if len(res.Answers) == 0 {
 		return
 	}
-	d.stub.Put(done, name.Host, res.Answers)
+	d.stub.Put(done, name.ID, res.Answers)
 	start := done + g.appStartDelay()
-	tr := g.tm.sample(name.Service, 1)
-	g.emitConn(start, d.house, res.Answers[g.rng.Intn(len(res.Answers))].Addr, name.Port, trace.TCP, tr)
+	g.emitConn(start, d.house, res.Answers[g.rng.Intn(len(res.Answers))].Addr, name.Port, trace.TCP, serviceXfer(name.Service, 1))
 }

@@ -1,6 +1,8 @@
 package households
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -358,5 +360,58 @@ func TestGenerateRejectsBadProbabilities(t *testing.T) {
 	cfg.Warmup = -time.Hour
 	if _, _, err := Generate(cfg); err == nil {
 		t.Error("negative warmup accepted")
+	}
+}
+
+// TestGenerateGoldenAcrossGOMAXPROCS: the finisher draws transfers on a
+// goroutine of its own, so the trace must not depend on how the
+// scheduler interleaves it with the simulation. Both TSV logs must be
+// byte-identical at GOMAXPROCS 1 and 4.
+func TestGenerateGoldenAcrossGOMAXPROCS(t *testing.T) {
+	tsv := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ds, _ := generateSmall(t, 11)
+		var buf bytes.Buffer
+		if err := trace.WriteDNS(&buf, ds.DNS); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteConns(&buf, ds.Conns); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := tsv(1), tsv(4)
+	if len(one) == 0 || !bytes.Equal(one, four) {
+		t.Fatalf("TSV output differs between GOMAXPROCS 1 (%d bytes) and 4 (%d bytes)", len(one), len(four))
+	}
+}
+
+// TestGenerateJoinsFinisher: Generate must not return, or fail, with its
+// finisher goroutine still running.
+func TestGenerateJoinsFinisher(t *testing.T) {
+	base := runtime.NumGoroutine()
+	// A joined goroutine may take a moment to leave the count after it
+	// has signalled its exit, and so may one an earlier test left
+	// exiting; a leaked one never does.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		generateSmall(t, seed)
+		if n := settled(); n > base {
+			t.Fatalf("seed %d: %d goroutines after Generate, %d before", seed, n, base)
+		}
+	}
+	cfg := SmallConfig(1)
+	cfg.Zone.NumNames = 0
+	if _, _, err := Generate(cfg); err == nil {
+		t.Fatal("bad zone config accepted")
+	}
+	if n := settled(); n > base {
+		t.Fatalf("%d goroutines after a failed Generate, %d before", n, base)
 	}
 }

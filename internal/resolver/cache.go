@@ -1,8 +1,7 @@
 // Package resolver simulates the DNS resolution ecosystem the paper's
 // traffic traverses: authoritative servers, recursive resolver platforms
 // with shared caches (the SC/R distinction of §5.3), device stub-resolver
-// caches (the LC/P distinction of §5.2, including TTL-violating gear), and
-// whole-house forwarders (§8).
+// caches (the LC/P distinction of §5.2, including TTL-violating gear).
 package resolver
 
 import (
@@ -12,9 +11,10 @@ import (
 	"dnscontext/internal/trace"
 )
 
-// Cache is a TTL-honoring DNS cache with LRU eviction. Entries store the
-// original answers with their insertion time so reads return decremented
-// remaining TTLs, as real resolvers do.
+// Cache is a TTL-honoring DNS cache with LRU eviction, keyed on name
+// symbols (zonedb.Name.ID). Entries store the original answers with
+// their insertion time so reads return decremented remaining TTLs, as
+// real resolvers do.
 type Cache struct {
 	lru lru[cacheEntry]
 
@@ -54,17 +54,18 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // Observe mirrors future evictions into ctr (nil detaches).
 func (c *Cache) Observe(ctr *obs.Counter) { c.evictCtr = ctr }
 
-// Put stores answers for host at time now. The entry's lifetime is the
-// minimum answer TTL. Answerless results (e.g. NXDOMAIN) may be stored
-// with an explicit negTTL.
-func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcode uint8, negTTL time.Duration) {
+// Put stores answers for the name symbol id at time now. The entry's
+// lifetime is the minimum answer TTL. Answerless results (e.g. NXDOMAIN)
+// may be stored with an explicit negTTL. The cache keeps answers as
+// given and never writes to them.
+func (c *Cache) Put(now time.Duration, id int32, answers []trace.Answer, rcode uint8, negTTL time.Duration) {
 	life := negTTL
 	for i, a := range answers {
 		if i == 0 || a.TTL < life {
 			life = a.TTL
 		}
 	}
-	if c.lru.put(host, cacheEntry{
+	if c.lru.put(id, cacheEntry{
 		answers:    answers,
 		rcode:      rcode,
 		insertedAt: now,
@@ -75,10 +76,10 @@ func (c *Cache) Put(now time.Duration, host string, answers []trace.Answer, rcod
 	}
 }
 
-// Get returns the unexpired answers for host with remaining TTLs, or
+// Get returns the unexpired answers for id with remaining TTLs, or
 // ok=false on a miss or expiry. Expired entries are evicted.
-func (c *Cache) Get(now time.Duration, host string) (answers []trace.Answer, rcode uint8, ok bool) {
-	i, e, found := c.lru.find(host)
+func (c *Cache) Get(now time.Duration, id int32) (answers []trace.Answer, rcode uint8, ok bool) {
+	i, e, found := c.lru.find(id)
 	if !found {
 		c.misses++
 		return nil, 0, false
@@ -96,8 +97,8 @@ func (c *Cache) Get(now time.Duration, host string) (answers []trace.Answer, rco
 
 // Peek is Get without statistics, LRU promotion, or eviction; the refresh
 // simulator uses it to inspect cache state.
-func (c *Cache) Peek(now time.Duration, host string) (expiresAt time.Duration, ok bool) {
-	_, e, found := c.lru.find(host)
+func (c *Cache) Peek(now time.Duration, id int32) (expiresAt time.Duration, ok bool) {
+	_, e, found := c.lru.find(id)
 	if !found {
 		return 0, false
 	}

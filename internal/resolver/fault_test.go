@@ -268,8 +268,8 @@ func TestLossWarmsCache(t *testing.T) {
 
 func TestStubGetStaleDisabledByDefault(t *testing.T) {
 	s := NewStub(10, 0)
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	if _, ok := s.GetStale(61*time.Second, "a.com"); ok {
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)})
+	if _, ok := s.GetStale(61*time.Second, symA); ok {
 		t.Fatal("GetStale served past TTL with StaleHold disabled")
 	}
 }
@@ -277,19 +277,19 @@ func TestStubGetStaleDisabledByDefault(t *testing.T) {
 func TestStubServeStaleWindow(t *testing.T) {
 	s := NewStub(10, 0)
 	s.StaleHold = 10 * time.Minute
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)})
 
 	// Inside the TTL, both paths serve fresh.
-	if got, ok := s.GetStale(30*time.Second, "a.com"); !ok || got.Expired {
+	if got, ok := s.GetStale(30*time.Second, symA); !ok || got.Expired {
 		t.Fatalf("fresh GetStale = %+v %v", got, ok)
 	}
 
 	// Past the TTL: a normal Get must MISS (the device still goes
 	// upstream first), but the entry is retained for the failure path.
-	if _, ok := s.Get(2*time.Minute, "a.com"); ok {
+	if _, ok := s.Get(2*time.Minute, symA); ok {
 		t.Fatal("Get served stale entry on the normal path")
 	}
-	got, ok := s.GetStale(2*time.Minute, "a.com")
+	got, ok := s.GetStale(2*time.Minute, symA)
 	if !ok {
 		t.Fatal("GetStale missed inside the stale window")
 	}
@@ -301,7 +301,7 @@ func TestStubServeStaleWindow(t *testing.T) {
 	}
 
 	// Past TTL + StaleHold: gone for good.
-	if _, ok := s.GetStale(12*time.Minute, "a.com"); ok {
+	if _, ok := s.GetStale(12*time.Minute, symA); ok {
 		t.Fatal("GetStale served beyond the stale window")
 	}
 }
@@ -311,14 +311,14 @@ func TestStubServeStaleRespectsMinHold(t *testing.T) {
 	// retention past that.
 	s := NewStub(10, 2*time.Minute)
 	s.StaleHold = 10 * time.Minute
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	if got, ok := s.Get(90*time.Second, "a.com"); !ok || !got.Expired {
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)})
+	if got, ok := s.Get(90*time.Second, symA); !ok || !got.Expired {
 		t.Fatalf("MinHold serving broken: %+v %v", got, ok)
 	}
-	if _, ok := s.Get(3*time.Minute, "a.com"); ok {
+	if _, ok := s.Get(3*time.Minute, symA); ok {
 		t.Fatal("Get served past MinHold")
 	}
-	if _, ok := s.GetStale(3*time.Minute, "a.com"); !ok {
+	if _, ok := s.GetStale(3*time.Minute, symA); !ok {
 		t.Fatal("GetStale missed between MinHold and StaleHold")
 	}
 }

@@ -2,19 +2,21 @@ package resolver
 
 // lru is the recency list and index behind Stub and Cache: an intrusive,
 // index-linked doubly linked list whose nodes live by value in one slice,
-// a map from key to node index, and a free list of vacated nodes. Once the
-// node slice and the map have grown to the working set, promoting,
-// replacing and evicting entries allocate nothing.
+// a map from key to node index, and a free list of vacated nodes. Keys
+// are name symbols (zonedb.Name.ID), so a lookup hashes one int32, never
+// a host string. Once the node slice and the map have grown to the
+// working set, promoting, replacing and evicting entries allocate
+// nothing.
 type lru[V any] struct {
 	capacity   int // <= 0: unbounded
-	index      map[string]int32
+	index      map[int32]int32
 	nodes      []lruNode[V]
 	head, tail int32 // most and least recently used; nilNode when empty
 	free       int32 // first vacated node, chained through next
 }
 
 type lruNode[V any] struct {
-	key        string
+	key        int32
 	val        V
 	prev, next int32
 }
@@ -24,7 +26,7 @@ const nilNode int32 = -1
 func newLRU[V any](capacity int) lru[V] {
 	return lru[V]{
 		capacity: capacity,
-		index:    make(map[string]int32),
+		index:    make(map[int32]int32),
 		head:     nilNode,
 		tail:     nilNode,
 		free:     nilNode,
@@ -35,7 +37,7 @@ func (l *lru[V]) len() int { return len(l.index) }
 
 // find returns the index of key's node and its stored value, without
 // promoting it.
-func (l *lru[V]) find(key string) (int32, *V, bool) {
+func (l *lru[V]) find(key int32) (int32, *V, bool) {
 	i, ok := l.index[key]
 	if !ok {
 		return nilNode, nil, false
@@ -47,7 +49,7 @@ func (l *lru[V]) find(key string) (int32, *V, bool) {
 // previous value. When a new key would exceed the capacity, the least
 // recently used entry is evicted first; put reports whether that
 // happened.
-func (l *lru[V]) put(key string, v V) (evicted bool) {
+func (l *lru[V]) put(key int32, v V) (evicted bool) {
 	if i, ok := l.index[key]; ok {
 		l.nodes[i].val = v
 		l.touch(i)

@@ -19,22 +19,22 @@ import (
 type refStub struct {
 	minHold, staleHold time.Duration
 	capacity           int
-	entries            map[string]*list.Element
+	entries            map[int32]*list.Element
 	lru                *list.List
 }
 
 type refStubEntry struct {
-	host                              string
+	key                               int32
 	answers                           []trace.Answer
 	insertedAt, ttlExpiry, holdExpiry time.Duration
 }
 
 func newRefStub(capacity int, minHold, staleHold time.Duration) *refStub {
 	return &refStub{minHold: minHold, staleHold: staleHold, capacity: capacity,
-		entries: make(map[string]*list.Element), lru: list.New()}
+		entries: make(map[int32]*list.Element), lru: list.New()}
 }
 
-func (s *refStub) put(now time.Duration, host string, answers []trace.Answer) {
+func (s *refStub) put(now time.Duration, key int32, answers []trace.Answer) {
 	if len(answers) == 0 {
 		return
 	}
@@ -42,25 +42,25 @@ func (s *refStub) put(now time.Duration, host string, answers []trace.Answer) {
 	for _, a := range answers[1:] {
 		life = min(life, a.TTL)
 	}
-	e := &refStubEntry{host: host, answers: answers, insertedAt: now,
+	e := &refStubEntry{key: key, answers: answers, insertedAt: now,
 		ttlExpiry: now + life, holdExpiry: now + max(life, s.minHold)}
-	if el, ok := s.entries[host]; ok {
+	if el, ok := s.entries[key]; ok {
 		el.Value = e
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.entries[host] = s.lru.PushFront(e)
+	s.entries[key] = s.lru.PushFront(e)
 	if s.capacity > 0 && s.lru.Len() > s.capacity {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*refStubEntry).host)
+		delete(s.entries, oldest.Value.(*refStubEntry).key)
 	}
 }
 
 // get is the old Stub.Get; stored selects the answers as stored instead
 // of the decremented copy, for comparing GetStored.
-func (s *refStub) get(now time.Duration, host string, stored bool) (StubLookup, bool) {
-	el, found := s.entries[host]
+func (s *refStub) get(now time.Duration, key int32, stored bool) (StubLookup, bool) {
+	el, found := s.entries[key]
 	if !found {
 		return StubLookup{}, false
 	}
@@ -70,7 +70,7 @@ func (s *refStub) get(now time.Duration, host string, stored bool) (StubLookup, 
 			return StubLookup{}, false
 		}
 		s.lru.Remove(el)
-		delete(s.entries, host)
+		delete(s.entries, key)
 		return StubLookup{}, false
 	}
 	s.lru.MoveToFront(el)
@@ -80,8 +80,8 @@ func (s *refStub) get(now time.Duration, host string, stored bool) (StubLookup, 
 	return StubLookup{Answers: refRemaining(e.answers, e.insertedAt, now), Expired: now >= e.ttlExpiry}, true
 }
 
-func (s *refStub) getStale(now time.Duration, host string) (StubLookup, bool) {
-	el, found := s.entries[host]
+func (s *refStub) getStale(now time.Duration, key int32) (StubLookup, bool) {
+	el, found := s.entries[key]
 	if !found {
 		return StubLookup{}, false
 	}
@@ -89,7 +89,7 @@ func (s *refStub) getStale(now time.Duration, host string) (StubLookup, bool) {
 	if now >= e.holdExpiry {
 		if s.staleHold <= 0 || now >= e.holdExpiry+s.staleHold {
 			s.lru.Remove(el)
-			delete(s.entries, host)
+			delete(s.entries, key)
 			return StubLookup{}, false
 		}
 		out := make([]trace.Answer, len(e.answers))
@@ -98,59 +98,59 @@ func (s *refStub) getStale(now time.Duration, host string) (StubLookup, bool) {
 		}
 		return StubLookup{Answers: out, Expired: true}, true
 	}
-	return s.get(now, host, false)
+	return s.get(now, key, false)
 }
 
-func (s *refStub) keys() []string {
-	var out []string
+func (s *refStub) keys() []int32 {
+	var out []int32
 	for el := s.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*refStubEntry).host)
+		out = append(out, el.Value.(*refStubEntry).key)
 	}
 	return out
 }
 
 type refCache struct {
 	capacity                         int
-	entries                          map[string]*list.Element
+	entries                          map[int32]*list.Element
 	lru                              *list.List
 	hits, misses, expired, evictions uint64
 }
 
 type refCacheEntry struct {
-	host                  string
+	key                   int32
 	answers               []trace.Answer
 	rcode                 uint8
 	insertedAt, expiresAt time.Duration
 }
 
 func newRefCache(capacity int) *refCache {
-	return &refCache{capacity: capacity, entries: make(map[string]*list.Element), lru: list.New()}
+	return &refCache{capacity: capacity, entries: make(map[int32]*list.Element), lru: list.New()}
 }
 
-func (c *refCache) put(now time.Duration, host string, answers []trace.Answer, rcode uint8, negTTL time.Duration) {
+func (c *refCache) put(now time.Duration, key int32, answers []trace.Answer, rcode uint8, negTTL time.Duration) {
 	life := negTTL
 	for i, a := range answers {
 		if i == 0 || a.TTL < life {
 			life = a.TTL
 		}
 	}
-	e := &refCacheEntry{host: host, answers: answers, rcode: rcode, insertedAt: now, expiresAt: now + life}
-	if el, ok := c.entries[host]; ok {
+	e := &refCacheEntry{key: key, answers: answers, rcode: rcode, insertedAt: now, expiresAt: now + life}
+	if el, ok := c.entries[key]; ok {
 		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[host] = c.lru.PushFront(e)
+	c.entries[key] = c.lru.PushFront(e)
 	if c.capacity > 0 && c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*refCacheEntry).host)
+		delete(c.entries, oldest.Value.(*refCacheEntry).key)
 		c.evictions++
 	}
 }
 
-func (c *refCache) get(now time.Duration, host string) ([]trace.Answer, uint8, bool) {
-	el, found := c.entries[host]
+func (c *refCache) get(now time.Duration, key int32) ([]trace.Answer, uint8, bool) {
+	el, found := c.entries[key]
 	if !found {
 		c.misses++
 		return nil, 0, false
@@ -160,7 +160,7 @@ func (c *refCache) get(now time.Duration, host string) ([]trace.Answer, uint8, b
 		c.expired++
 		c.misses++
 		c.lru.Remove(el)
-		delete(c.entries, host)
+		delete(c.entries, key)
 		return nil, 0, false
 	}
 	c.hits++
@@ -168,8 +168,8 @@ func (c *refCache) get(now time.Duration, host string) ([]trace.Answer, uint8, b
 	return refRemaining(e.answers, e.insertedAt, now), e.rcode, true
 }
 
-func (c *refCache) peek(now time.Duration, host string) (time.Duration, bool) {
-	el, found := c.entries[host]
+func (c *refCache) peek(now time.Duration, key int32) (time.Duration, bool) {
+	el, found := c.entries[key]
 	if !found {
 		return 0, false
 	}
@@ -177,10 +177,10 @@ func (c *refCache) peek(now time.Duration, host string) (time.Duration, bool) {
 	return e.expiresAt, now < e.expiresAt
 }
 
-func (c *refCache) keys() []string {
-	var out []string
+func (c *refCache) keys() []int32 {
+	var out []int32
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*refCacheEntry).host)
+		out = append(out, el.Value.(*refCacheEntry).key)
 	}
 	return out
 }
@@ -197,16 +197,16 @@ func refRemaining(answers []trace.Answer, insertedAt, now time.Duration) []trace
 // keys returns the stored keys from most to least recently used, after
 // checking that the backward links, the index and the free list agree
 // with the forward walk.
-func (l *lru[V]) keys(t *testing.T) []string {
+func (l *lru[V]) keys(t *testing.T) []int32 {
 	t.Helper()
-	var fwd []string
+	var fwd []int32
 	prev := nilNode
 	for i := l.head; i != nilNode; i = l.nodes[i].next {
 		if l.nodes[i].prev != prev {
 			t.Fatalf("node %d: prev %d, want %d", i, l.nodes[i].prev, prev)
 		}
 		if j, ok := l.index[l.nodes[i].key]; !ok || j != i {
-			t.Fatalf("index[%q] = %d, %v; want %d", l.nodes[i].key, j, ok, i)
+			t.Fatalf("index[%d] = %d, %v; want %d", l.nodes[i].key, j, ok, i)
 		}
 		fwd = append(fwd, l.nodes[i].key)
 		prev = i
@@ -224,24 +224,21 @@ func (l *lru[V]) keys(t *testing.T) []string {
 	return fwd
 }
 
-// lruOp draws the next operation's host and answers: hosts from a pool
-// a little larger than the capacity, so entries are evicted and revived;
-// short TTLs, so entries expire between operations.
+// lruOp draws the next operation's key and answers: name symbols from a
+// pool a little larger than the capacity, so entries are evicted and
+// revived; short TTLs, so entries expire between operations.
 type lruOp struct {
 	r     *stats.RNG
-	hosts []string
+	nkeys int
 }
 
 func newLRUOp(seed uint64, capacity int) *lruOp {
 	o := &lruOp{r: stats.NewRNG(seed)}
-	n := capacity + 3 + o.r.Intn(capacity+1)
-	for i := 0; i < n; i++ {
-		o.hosts = append(o.hosts, fmt.Sprintf("h%d.example", i))
-	}
+	o.nkeys = capacity + 3 + o.r.Intn(capacity+1)
 	return o
 }
 
-func (o *lruOp) host() string { return o.hosts[o.r.Intn(len(o.hosts))] }
+func (o *lruOp) key() int32 { return int32(o.r.Intn(o.nkeys)) }
 
 func (o *lruOp) answers() []trace.Answer {
 	out := make([]trace.Answer, o.r.Intn(3))
@@ -269,27 +266,27 @@ func TestStubMatchesListReference(t *testing.T) {
 		var now time.Duration
 		for step := 0; step < 2000; step++ {
 			now += o.tick()
-			host := o.host()
+			key := o.key()
 			var got, want StubLookup
 			var gotOK, wantOK bool
 			op := o.r.Intn(4)
 			switch op {
 			case 0:
 				a := o.answers()
-				s.Put(now, host, a)
-				ref.put(now, host, a)
+				s.Put(now, key, a)
+				ref.put(now, key, a)
 			case 1:
-				got, gotOK = s.Get(now, host)
-				want, wantOK = ref.get(now, host, false)
+				got, gotOK = s.Get(now, key)
+				want, wantOK = ref.get(now, key, false)
 			case 2:
-				got, gotOK = s.GetStored(now, host)
-				want, wantOK = ref.get(now, host, true)
+				got, gotOK = s.GetStored(now, key)
+				want, wantOK = ref.get(now, key, true)
 			case 3:
-				got, gotOK = s.GetStale(now, host)
-				want, wantOK = ref.getStale(now, host)
+				got, gotOK = s.GetStale(now, key)
+				want, wantOK = ref.getStale(now, key)
 			}
 			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d op %d %s: got %v %+v, want %v %+v", seed, step, op, host, gotOK, got, wantOK, want)
+				t.Fatalf("seed %d step %d op %d key %d: got %v %+v, want %v %+v", seed, step, op, key, gotOK, got, wantOK, want)
 			}
 			if k, wk := s.lru.keys(t), ref.keys(); s.Len() != len(wk) || !reflect.DeepEqual(k, wk) {
 				t.Fatalf("seed %d step %d: Len %d order %v, want %v", seed, step, s.Len(), k, wk)
@@ -311,7 +308,7 @@ func TestCacheMatchesListReference(t *testing.T) {
 		var now time.Duration
 		for step := 0; step < 2000; step++ {
 			now += o.tick()
-			host := o.host()
+			key := o.key()
 			switch op := o.r.Intn(3); op {
 			case 0:
 				a := o.answers()
@@ -320,19 +317,19 @@ func TestCacheMatchesListReference(t *testing.T) {
 					rcode = 3
 				}
 				negTTL := time.Duration(o.r.Intn(30)) * time.Second
-				c.Put(now, host, a, rcode, negTTL)
-				ref.put(now, host, a, rcode, negTTL)
+				c.Put(now, key, a, rcode, negTTL)
+				ref.put(now, key, a, rcode, negTTL)
 			case 1:
-				got, gotRC, gotOK := c.Get(now, host)
-				want, wantRC, wantOK := ref.get(now, host)
+				got, gotRC, gotOK := c.Get(now, key)
+				want, wantRC, wantOK := ref.get(now, key)
 				if gotOK != wantOK || gotRC != wantRC || !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d Get %s: got %v %d %v, want %v %d %v", seed, step, host, gotOK, gotRC, got, wantOK, wantRC, want)
+					t.Fatalf("seed %d step %d Get key %d: got %v %d %v, want %v %d %v", seed, step, key, gotOK, gotRC, got, wantOK, wantRC, want)
 				}
 			case 2:
-				got, gotOK := c.Peek(now, host)
-				want, wantOK := ref.peek(now, host)
+				got, gotOK := c.Peek(now, key)
+				want, wantOK := ref.peek(now, key)
 				if gotOK != wantOK || got != want {
-					t.Fatalf("seed %d step %d Peek %s: got %v %v, want %v %v", seed, step, host, got, gotOK, want, wantOK)
+					t.Fatalf("seed %d step %d Peek key %d: got %v %v, want %v %v", seed, step, key, got, gotOK, want, wantOK)
 				}
 			}
 			h, m, e := c.Stats()
@@ -353,13 +350,13 @@ func TestCacheMatchesListReference(t *testing.T) {
 // TestStubCacheSteadyStateAllocs gates the LRU's steady state at zero
 // allocations: once a stub or cache has grown to its capacity, a hit
 // (GetStored for the stub; Peek and a negative-entry Get for the cache,
-// whose positive Get must copy its answers), re-putting a present host,
-// and putting a new host that evicts the oldest allocate nothing.
+// whose positive Get must copy its answers), re-putting a present key,
+// and putting a new key that evicts the oldest allocate nothing.
 func TestStubCacheSteadyStateAllocs(t *testing.T) {
 	const capacity = 4
-	hosts := make([]string, 2*capacity)
-	for i := range hosts {
-		hosts[i] = fmt.Sprintf("h%d.example", i)
+	keys := make([]int32, 2*capacity)
+	for i := range keys {
+		keys[i] = int32(i)
 	}
 	answers := []trace.Answer{ans("203.0.113.1", time.Hour)}
 
@@ -368,8 +365,8 @@ func TestStubCacheSteadyStateAllocs(t *testing.T) {
 	i := 0
 	cycle := func() {
 		now := time.Duration(i) * time.Second
-		h := hosts[i%len(hosts)]
-		s.Put(now, h, answers) // new host: evicts
+		h := keys[i%len(keys)]
+		s.Put(now, h, answers) // new key: evicts
 		if _, ok := s.GetStored(now, h); !ok {
 			t.Fatal("stub missed a fresh entry")
 		}
@@ -384,7 +381,7 @@ func TestStubCacheSteadyStateAllocs(t *testing.T) {
 		c.Put(now, h, nil, 3, time.Hour)
 		i++
 	}
-	for range 4 * len(hosts) {
+	for range 4 * len(keys) {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {

@@ -1,7 +1,6 @@
 package resolver
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,8 +16,8 @@ func TestCacheRemainingTTLProperty(t *testing.T) {
 		ttl := time.Duration(int(ttlSecs)%3600+2) * time.Second
 		age := time.Duration(float64(ttl) * (float64(ageFrac%100) / 100.0))
 		c := NewCache(10)
-		c.Put(0, "x.com", []trace.Answer{ans("203.0.0.1", ttl)}, 0, 0)
-		got, _, ok := c.Get(age, "x.com")
+		c.Put(0, symX, []trace.Answer{ans("203.0.0.1", ttl)}, 0, 0)
+		got, _, ok := c.Get(age, symX)
 		if age >= ttl {
 			return !ok
 		}
@@ -42,8 +41,8 @@ func TestCacheCapacityProperty(t *testing.T) {
 		n := int(nRaw % 500)
 		c := NewCache(capacity)
 		for i := 0; i < n; i++ {
-			host := fmt.Sprintf("h%d.com", r.Intn(40))
-			c.Put(time.Duration(i)*time.Second, host, []trace.Answer{ans("203.0.0.1", time.Hour)}, 0, 0)
+			id := int32(r.Intn(40))
+			c.Put(time.Duration(i)*time.Second, id, []trace.Answer{ans("203.0.0.1", time.Hour)}, 0, 0)
 			if c.Len() > capacity {
 				return false
 			}
@@ -68,8 +67,8 @@ func TestStubExpiryFlagProperty(t *testing.T) {
 		at := time.Duration(float64(2*effectiveHold) * float64(atFrac%100) / 100.0)
 
 		s := NewStub(10, hold)
-		s.Put(0, "x.com", []trace.Answer{ans("203.0.0.1", ttl)})
-		got, ok := s.Get(at, "x.com")
+		s.Put(0, symX, []trace.Answer{ans("203.0.0.1", ttl)})
+		got, ok := s.Get(at, symX)
 		switch {
 		case at >= effectiveHold:
 			return !ok

@@ -7,6 +7,7 @@ import (
 
 	"dnscontext/internal/stats"
 	"dnscontext/internal/trace"
+	"dnscontext/internal/zonedb"
 )
 
 // RCodeServFail is the SERVFAIL response code a client synthesizes when
@@ -73,6 +74,12 @@ type Recursive struct {
 	// transport is how clients reach the platform; built from the
 	// profile's Transport/Stream fields (UDPTransport when unset).
 	transport Transport
+
+	// nx holds the NXDOMAIN placeholder names LookupWith made for hosts
+	// outside the namespace, numbered from the namespace's NumIDs up.
+	// They are per platform, not per Authority, because bulk shards
+	// share one Authority across goroutines.
+	nx map[string]*zonedb.Name
 
 	queries uint64
 	hits    uint64
@@ -144,9 +151,40 @@ func (rr *Recursive) Lookup(now time.Duration, host string) Result {
 }
 
 // LookupWith resolves host for a client at virtual time now under the
-// given retry policy. The returned Result carries everything the
-// generator needs to emit the dns.log record and to decide when (and
-// whether) the answer is available to the application.
+// given retry policy, running the lookup cold. It maps host to its name
+// once (see name) and takes the one exchange path, LookupConn; callers
+// that already hold the *zonedb.Name, such as the trace generator, call
+// LookupConn directly and never hash a host string.
+func (rr *Recursive) LookupWith(now time.Duration, host string, rp RetryPolicy) Result {
+	return rr.LookupConn(nil, now, rr.name(host), rp)
+}
+
+// name returns host's name in the namespace or, for a host outside it,
+// this platform's NXDOMAIN placeholder for it: a Name carrying only the
+// host and an ID at or past NumIDs, stable for the platform's lifetime,
+// so the negative cache keys on it like on any other symbol.
+func (rr *Recursive) name(host string) *zonedb.Name {
+	if n := rr.auth.zones.Lookup(host); n != nil {
+		return n
+	}
+	if n, ok := rr.nx[host]; ok {
+		return n
+	}
+	if rr.nx == nil {
+		rr.nx = make(map[string]*zonedb.Name)
+	}
+	n := &zonedb.Name{Host: host, ID: int32(rr.auth.zones.NumIDs() + len(rr.nx))}
+	rr.nx[host] = n
+	return n
+}
+
+// LookupConn resolves n for a client at virtual time now under rp. The
+// returned Result carries everything the generator needs to emit the
+// dns.log record and to decide when (and whether) the answer is
+// available to the application. cs carries one stub's live connection
+// to this platform (and its TLS session ticket) across lookups, so
+// bursts share a handshake. A nil cs is always cold. Datagram transports
+// ignore cs entirely.
 //
 // The failure model: each attempt sends the query over the platform link
 // (which may drop it — random loss or a scheduled outage), the frontend
@@ -164,29 +202,20 @@ func (rr *Recursive) Lookup(now time.Duration, host string) Result {
 //
 // The ladder itself lives in the platform's Transport (UDPTransport for
 // Do53 — see transport.go); stream transports replace retransmission
-// with reconnection. LookupWith runs every lookup cold; callers holding
-// a persistent connection use LookupConn.
-func (rr *Recursive) LookupWith(now time.Duration, host string, rp RetryPolicy) Result {
-	return rr.LookupConn(nil, now, host, rp)
-}
-
-// LookupConn is LookupWith with caller-held persistent-connection state:
-// cs carries one stub's live connection to this platform (and its TLS
-// session ticket) across lookups, so bursts share a handshake. A nil cs
-// is always cold. Datagram transports ignore cs entirely.
-func (rr *Recursive) LookupConn(cs *ConnState, now time.Duration, host string, rp RetryPolicy) Result {
+// with reconnection.
+func (rr *Recursive) LookupConn(cs *ConnState, now time.Duration, n *zonedb.Name, rp RetryPolicy) Result {
 	rr.queries++
 	rr.obs.lookups.Inc()
-	return rr.transport.Exchange(rr, cs, now, host, rp)
+	return rr.transport.Exchange(rr, cs, now, n, rp)
 }
 
-// answerAt resolves host at one frontend at virtual time arrival,
+// answerAt resolves n at one frontend at virtual time arrival,
 // returning the answers, rcode, whether the shared cache (or external
 // warmth) served them, and the extra iteration delay the frontend spent
 // on a miss. Cache state is updated as a side effect, so a lost response
 // still warms the frontend.
-func (rr *Recursive) answerAt(part *Cache, arrival time.Duration, host string) (answers []trace.Answer, rcode uint8, fromCache bool, iterate time.Duration) {
-	if answers, rcode, ok := part.Get(arrival, host); ok {
+func (rr *Recursive) answerAt(part *Cache, arrival time.Duration, n *zonedb.Name) (answers []trace.Answer, rcode uint8, fromCache bool, iterate time.Duration) {
+	if answers, rcode, ok := part.Get(arrival, n.ID); ok {
 		rr.hits++
 		rr.obs.hits.Inc()
 		return answers, rcode, true, 0
@@ -194,25 +223,25 @@ func (rr *Recursive) answerAt(part *Cache, arrival time.Duration, host string) (
 
 	// The frontend also serves clients outside the simulation; a popular
 	// name missed here may well be warm because someone else just asked.
-	if ans, ok := rr.externallyWarm(host); ok {
+	if ans, ok := rr.externallyWarm(n); ok {
 		rr.hits++
 		rr.obs.hits.Inc()
 		// Seed the partition so subsequent in-simulation queries hit it
 		// organically.
-		part.Put(arrival, host, ans, 0, 0)
+		part.Put(arrival, n.ID, ans, 0, 0)
 		return ans, 0, true, 0
 	}
 
 	// Cache miss: iterate to the authoritative servers.
 	rr.obs.misses.Inc()
-	authRes := rr.auth.Resolve(host, rr.rng)
+	authRes := rr.auth.Resolve(n, rr.rng)
 	iterate = authRes.Delay + rr.Profile.AuthExtra.Delay(rr.rng)
 	done := arrival + iterate
 	negTTL := time.Duration(0)
 	if len(authRes.Answers) == 0 {
 		negTTL = rr.auth.NegTTL
 	}
-	part.Put(done, host, authRes.Answers, authRes.RCode, negTTL)
+	part.Put(done, n.ID, authRes.Answers, authRes.RCode, negTTL)
 	return authRes.Answers, authRes.RCode, false, iterate
 }
 
@@ -220,13 +249,9 @@ func (rr *Recursive) answerAt(part *Cache, arrival time.Duration, host string) (
 // PlatformProfile.ExternalQPS): under Poisson external arrivals at rate
 // qps·share, the record is live in the frontend's cache with probability
 // 1 − exp(−qps·share·TTL), with a uniformly distributed residual TTL.
-func (rr *Recursive) externallyWarm(host string) ([]trace.Answer, bool) {
+func (rr *Recursive) externallyWarm(n *zonedb.Name) ([]trace.Answer, bool) {
 	qps := rr.Profile.ExternalQPS
-	if qps <= 0 {
-		return nil, false
-	}
-	n := rr.auth.Zones().Lookup(host)
-	if n == nil {
+	if qps <= 0 || !rr.auth.knows(n) {
 		return nil, false
 	}
 	share := rr.auth.Zones().Share(n)
@@ -249,11 +274,13 @@ func (rr *Recursive) externallyWarm(host string) ([]trace.Answer, bool) {
 }
 
 // WarmFraction reports the fraction of partitions currently holding host
-// unexpired — a calibration/diagnostic hook.
+// unexpired — a calibration/diagnostic hook. An unknown host is warm
+// only through the negative cache, under its NXDOMAIN placeholder.
 func (rr *Recursive) WarmFraction(now time.Duration, host string) float64 {
+	n := rr.name(host)
 	warm := 0
 	for _, p := range rr.parts {
-		if _, ok := p.Peek(now, host); ok {
+		if _, ok := p.Peek(now, n.ID); ok {
 			warm++
 		}
 	}

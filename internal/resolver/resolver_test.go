@@ -10,17 +10,26 @@ import (
 	"dnscontext/internal/zonedb"
 )
 
+// Name symbols for the Stub and Cache tests.
+const (
+	symA int32 = iota
+	symB
+	symC
+	symNX
+	symX
+)
+
 func ans(addr string, ttl time.Duration) trace.Answer {
 	return trace.Answer{Addr: netip.MustParseAddr(addr), TTL: ttl}
 }
 
 func TestCacheBasicHitMiss(t *testing.T) {
 	c := NewCache(10)
-	if _, _, ok := c.Get(0, "a.com"); ok {
+	if _, _, ok := c.Get(0, symA); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 300*time.Second)}, 0, 0)
-	got, rcode, ok := c.Get(100*time.Second, "a.com")
+	c.Put(0, symA, []trace.Answer{ans("203.0.0.1", 300*time.Second)}, 0, 0)
+	got, rcode, ok := c.Get(100*time.Second, symA)
 	if !ok || rcode != 0 {
 		t.Fatal("expected hit")
 	}
@@ -35,8 +44,8 @@ func TestCacheBasicHitMiss(t *testing.T) {
 
 func TestCacheExpiry(t *testing.T) {
 	c := NewCache(10)
-	c.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)}, 0, 0)
-	if _, _, ok := c.Get(60*time.Second, "a.com"); ok {
+	c.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)}, 0, 0)
+	if _, _, ok := c.Get(60*time.Second, symA); ok {
 		t.Fatal("hit exactly at expiry")
 	}
 	_, _, expired := c.Stats()
@@ -50,46 +59,46 @@ func TestCacheExpiry(t *testing.T) {
 
 func TestCacheMinTTLGovernsLifetime(t *testing.T) {
 	c := NewCache(10)
-	c.Put(0, "a.com", []trace.Answer{
+	c.Put(0, symA, []trace.Answer{
 		ans("203.0.0.1", 300*time.Second),
 		ans("203.0.0.2", 10*time.Second),
 	}, 0, 0)
-	if _, _, ok := c.Get(11*time.Second, "a.com"); ok {
+	if _, _, ok := c.Get(11*time.Second, symA); ok {
 		t.Fatal("entry outlived its minimum TTL")
 	}
 }
 
 func TestCacheNegativeEntries(t *testing.T) {
 	c := NewCache(10)
-	c.Put(0, "nx.com", nil, 3, 30*time.Second)
-	_, rcode, ok := c.Get(10*time.Second, "nx.com")
+	c.Put(0, symNX, nil, 3, 30*time.Second)
+	_, rcode, ok := c.Get(10*time.Second, symNX)
 	if !ok || rcode != 3 {
 		t.Fatalf("negative entry: ok=%v rcode=%d", ok, rcode)
 	}
-	if _, _, ok := c.Get(31*time.Second, "nx.com"); ok {
+	if _, _, ok := c.Get(31*time.Second, symNX); ok {
 		t.Fatal("negative entry outlived negTTL")
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", time.Hour)}, 0, 0)
-	c.Put(0, "b.com", []trace.Answer{ans("203.0.0.2", time.Hour)}, 0, 0)
-	c.Get(0, "a.com") // promote a
-	c.Put(0, "c.com", []trace.Answer{ans("203.0.0.3", time.Hour)}, 0, 0)
-	if _, _, ok := c.Get(0, "b.com"); ok {
+	c.Put(0, symA, []trace.Answer{ans("203.0.0.1", time.Hour)}, 0, 0)
+	c.Put(0, symB, []trace.Answer{ans("203.0.0.2", time.Hour)}, 0, 0)
+	c.Get(0, symA) // promote a
+	c.Put(0, symC, []trace.Answer{ans("203.0.0.3", time.Hour)}, 0, 0)
+	if _, _, ok := c.Get(0, symB); ok {
 		t.Fatal("LRU victim b.com still present")
 	}
-	if _, _, ok := c.Get(0, "a.com"); !ok {
+	if _, _, ok := c.Get(0, symA); !ok {
 		t.Fatal("recently used a.com evicted")
 	}
 }
 
 func TestCacheOverwrite(t *testing.T) {
 	c := NewCache(10)
-	c.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 10*time.Second)}, 0, 0)
-	c.Put(5*time.Second, "a.com", []trace.Answer{ans("203.0.0.9", 100*time.Second)}, 0, 0)
-	got, _, ok := c.Get(50*time.Second, "a.com")
+	c.Put(0, symA, []trace.Answer{ans("203.0.0.1", 10*time.Second)}, 0, 0)
+	c.Put(5*time.Second, symA, []trace.Answer{ans("203.0.0.9", 100*time.Second)}, 0, 0)
+	got, _, ok := c.Get(50*time.Second, symA)
 	if !ok || got[0].Addr != netip.MustParseAddr("203.0.0.9") {
 		t.Fatalf("overwrite lost: %v %v", got, ok)
 	}
@@ -100,11 +109,11 @@ func TestCacheOverwrite(t *testing.T) {
 
 func TestCachePeek(t *testing.T) {
 	c := NewCache(10)
-	c.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)}, 0, 0)
-	if exp, ok := c.Peek(30*time.Second, "a.com"); !ok || exp != 60*time.Second {
+	c.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)}, 0, 0)
+	if exp, ok := c.Peek(30*time.Second, symA); !ok || exp != 60*time.Second {
 		t.Fatalf("peek = %v %v", exp, ok)
 	}
-	if _, ok := c.Peek(61*time.Second, "a.com"); ok {
+	if _, ok := c.Peek(61*time.Second, symA); ok {
 		t.Fatal("peek returned expired entry")
 	}
 	if c.Len() != 1 {
@@ -125,7 +134,7 @@ func TestAuthorityResolve(t *testing.T) {
 	zones, auth := newEcosystem(t)
 	r := stats.NewRNG(1)
 	n := zones.ByRank(0)
-	res := auth.Resolve(n.Host, r)
+	res := auth.Resolve(n, r)
 	if res.RCode != 0 || len(res.Answers) != len(n.Addrs) {
 		t.Fatalf("result %+v", res)
 	}
@@ -138,8 +147,9 @@ func TestAuthorityResolve(t *testing.T) {
 }
 
 func TestAuthorityNXDomain(t *testing.T) {
-	_, auth := newEcosystem(t)
-	res := auth.Resolve("definitely.not.a.name", stats.NewRNG(2))
+	zones, auth := newEcosystem(t)
+	nx := &zonedb.Name{Host: "definitely.not.a.name", ID: int32(zones.NumIDs())}
+	res := auth.Resolve(nx, stats.NewRNG(2))
 	if res.RCode != 3 || len(res.Answers) != 0 {
 		t.Fatalf("NXDOMAIN result %+v", res)
 	}
@@ -263,19 +273,19 @@ func TestPlatformOf(t *testing.T) {
 
 func TestStubHonorsTTLByDefault(t *testing.T) {
 	s := NewStub(100, 0)
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	if got, ok := s.Get(30*time.Second, "a.com"); !ok || got.Expired {
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)})
+	if got, ok := s.Get(30*time.Second, symA); !ok || got.Expired {
 		t.Fatalf("mid-TTL get = %+v %v", got, ok)
 	}
-	if _, ok := s.Get(61*time.Second, "a.com"); ok {
+	if _, ok := s.Get(61*time.Second, symA); ok {
 		t.Fatal("TTL-honoring stub served expired entry")
 	}
 }
 
 func TestStubTTLViolation(t *testing.T) {
 	s := NewStub(100, time.Hour)
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	got, ok := s.Get(30*time.Minute, "a.com")
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", 60*time.Second)})
+	got, ok := s.Get(30*time.Minute, symA)
 	if !ok {
 		t.Fatal("violating stub dropped held entry")
 	}
@@ -285,22 +295,22 @@ func TestStubTTLViolation(t *testing.T) {
 	if got.Answers[0].TTL != 0 {
 		t.Fatalf("expired entry remaining TTL %v, want 0", got.Answers[0].TTL)
 	}
-	if _, ok := s.Get(61*time.Minute, "a.com"); ok {
+	if _, ok := s.Get(61*time.Minute, symA); ok {
 		t.Fatal("entry outlived the hold window")
 	}
 }
 
 func TestStubMinHoldShorterThanTTL(t *testing.T) {
 	s := NewStub(100, time.Second)
-	s.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", time.Hour)})
-	if got, ok := s.Get(30*time.Minute, "a.com"); !ok || got.Expired {
+	s.Put(0, symA, []trace.Answer{ans("203.0.0.1", time.Hour)})
+	if got, ok := s.Get(30*time.Minute, symA); !ok || got.Expired {
 		t.Fatal("long-TTL entry must survive to its TTL regardless of MinHold")
 	}
 }
 
 func TestStubIgnoresAnswerless(t *testing.T) {
 	s := NewStub(100, 0)
-	s.Put(0, "nx.com", nil)
+	s.Put(0, symNX, nil)
 	if s.Len() != 0 {
 		t.Fatal("answerless response cached")
 	}
@@ -308,33 +318,14 @@ func TestStubIgnoresAnswerless(t *testing.T) {
 
 func TestStubCapacity(t *testing.T) {
 	s := NewStub(2, 0)
-	for i, h := range []string{"a.com", "b.com", "c.com"} {
+	for i, h := range []int32{symA, symB, symC} {
 		s.Put(time.Duration(i)*time.Second, h, []trace.Answer{ans("203.0.0.1", time.Hour)})
 	}
 	if s.Len() != 2 {
 		t.Fatalf("len %d", s.Len())
 	}
-	if _, ok := s.Get(3*time.Second, "a.com"); ok {
+	if _, ok := s.Get(3*time.Second, symA); ok {
 		t.Fatal("oldest entry survived eviction")
-	}
-}
-
-func TestForwarder(t *testing.T) {
-	f := NewForwarder(100)
-	if _, ok := f.Get(0, "a.com"); ok {
-		t.Fatal("hit on empty forwarder")
-	}
-	f.Put(0, "a.com", []trace.Answer{ans("203.0.0.1", 60*time.Second)})
-	if got, ok := f.Get(30*time.Second, "a.com"); !ok || got[0].TTL != 30*time.Second {
-		t.Fatalf("forwarder get = %v %v", got, ok)
-	}
-	if _, ok := f.Get(61*time.Second, "a.com"); ok {
-		t.Fatal("forwarder violated TTL")
-	}
-	f.Put(0, "nx.com", nil)
-	hits, misses, _ := f.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats %d/%d", hits, misses)
 	}
 }
 

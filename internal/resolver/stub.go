@@ -6,12 +6,11 @@ import (
 	"dnscontext/internal/trace"
 )
 
-// Stub models the DNS cache closest to the application: the on-device stub
-// resolver (or, for §8's what-if, a home-router forwarder). Unlike the
-// shared Cache, a Stub can be configured to keep serving entries past
-// their TTL — the paper finds 22.2% of local-cache connections use such
-// outdated records, attributing it to residential gear that does not
-// respect the TTL.
+// Stub models the DNS cache closest to the application: the on-device
+// stub resolver. Unlike the shared Cache, a Stub can be configured to
+// keep serving entries past their TTL — the paper finds 22.2% of
+// local-cache connections use such outdated records, attributing it to
+// residential gear that does not respect the TTL.
 type Stub struct {
 	// MinHold extends every entry's usable lifetime to at least MinHold
 	// past insertion. Zero means the stub honors TTLs exactly.
@@ -50,9 +49,11 @@ func NewStub(capacity int, minHold time.Duration) *Stub {
 // Len returns the number of stored entries.
 func (s *Stub) Len() int { return s.lru.len() }
 
-// Put stores a response. Answerless responses are not cached (stubs do
-// little negative caching, and the analysis does not need it).
-func (s *Stub) Put(now time.Duration, host string, answers []trace.Answer) {
+// Put stores a response for the name symbol id (zonedb.Name.ID).
+// Answerless responses are not cached (stubs do little negative caching,
+// and the analysis does not need it). The stub keeps answers as given
+// and never writes to them.
+func (s *Stub) Put(now time.Duration, id int32, answers []trace.Answer) {
 	if len(answers) == 0 {
 		return
 	}
@@ -66,7 +67,7 @@ func (s *Stub) Put(now time.Duration, host string, answers []trace.Answer) {
 	if s.MinHold > hold {
 		hold = s.MinHold
 	}
-	s.lru.put(host, stubEntry{
+	s.lru.put(id, stubEntry{
 		answers:    answers,
 		insertedAt: now,
 		ttlExpiry:  now + life,
@@ -77,8 +78,8 @@ func (s *Stub) Put(now time.Duration, host string, answers []trace.Answer) {
 // Get returns the stored answers if the stub is still willing to serve
 // them. Remaining TTLs are decremented, clamping at zero for entries
 // served in violation of their TTL.
-func (s *Stub) Get(now time.Duration, host string) (StubLookup, bool) {
-	e, ok := s.serve(now, host)
+func (s *Stub) Get(now time.Duration, id int32) (StubLookup, bool) {
+	e, ok := s.serve(now, id)
 	if !ok {
 		return StubLookup{}, false
 	}
@@ -93,19 +94,19 @@ func (s *Stub) Get(now time.Duration, host string) (StubLookup, bool) {
 // remaining ones. Callers must not modify it. It exists for callers that
 // read only the addresses, such as the trace generator, which resolves
 // through a stub for every connection.
-func (s *Stub) GetStored(now time.Duration, host string) (StubLookup, bool) {
-	e, ok := s.serve(now, host)
+func (s *Stub) GetStored(now time.Duration, id int32) (StubLookup, bool) {
+	e, ok := s.serve(now, id)
 	if !ok {
 		return StubLookup{}, false
 	}
 	return StubLookup{Answers: e.answers, Expired: now >= e.ttlExpiry}, true
 }
 
-// serve finds host's entry if the stub is still willing to serve it at
+// serve finds id's entry if the stub is still willing to serve it at
 // now, promoting it to most recently used. An entry past its hold is a
 // miss, and is dropped unless serve-stale still retains it.
-func (s *Stub) serve(now time.Duration, host string) (*stubEntry, bool) {
-	i, e, found := s.lru.find(host)
+func (s *Stub) serve(now time.Duration, id int32) (*stubEntry, bool) {
+	i, e, found := s.lru.find(id)
 	if !found {
 		return nil, false
 	}
@@ -129,8 +130,8 @@ func (s *Stub) serve(now time.Duration, host string) (*stubEntry, bool) {
 // the stale window itself has lapsed. Entries still inside their normal
 // lifetime are returned too — a device that just failed upstream serves
 // whatever it has.
-func (s *Stub) GetStale(now time.Duration, host string) (StubLookup, bool) {
-	i, e, found := s.lru.find(host)
+func (s *Stub) GetStale(now time.Duration, id int32) (StubLookup, bool) {
+	i, e, found := s.lru.find(id)
 	if !found {
 		return StubLookup{}, false
 	}
@@ -145,33 +146,5 @@ func (s *Stub) GetStale(now time.Duration, host string) (StubLookup, bool) {
 		}
 		return StubLookup{Answers: out, Expired: true}, true
 	}
-	return s.Get(now, host)
+	return s.Get(now, id)
 }
-
-// Forwarder is a whole-house caching forwarder: a TTL-honoring cache
-// shared by every device in a house. It is the mechanism evaluated in §8.
-type Forwarder struct {
-	cache *Cache
-}
-
-// NewForwarder returns a whole-house forwarder cache.
-func NewForwarder(capacity int) *Forwarder {
-	return &Forwarder{cache: NewCache(capacity)}
-}
-
-// Get returns cached answers with decremented TTLs.
-func (f *Forwarder) Get(now time.Duration, host string) ([]trace.Answer, bool) {
-	answers, _, ok := f.cache.Get(now, host)
-	return answers, ok
-}
-
-// Put stores a response observed by any device in the house.
-func (f *Forwarder) Put(now time.Duration, host string, answers []trace.Answer) {
-	if len(answers) == 0 {
-		return
-	}
-	f.cache.Put(now, host, answers, 0, 0)
-}
-
-// Stats exposes the underlying cache counters.
-func (f *Forwarder) Stats() (hits, misses, expired uint64) { return f.cache.Stats() }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dnscontext/internal/netsim"
+	"dnscontext/internal/zonedb"
 )
 
 // TransportKind identifies how clients reach a resolver platform: the
@@ -164,10 +165,10 @@ func (cs *ConnState) Live(t time.Duration) bool {
 // platform's RNG, in a fixed order, so seeded runs stay reproducible.
 type Transport interface {
 	Kind() TransportKind
-	// Exchange resolves host for a client at virtual time now under rp.
+	// Exchange resolves n for a client at virtual time now under rp.
 	// cs carries the caller's persistent-connection state; nil means no
 	// reuse (and is always valid).
-	Exchange(rr *Recursive, cs *ConnState, now time.Duration, host string, rp RetryPolicy) Result
+	Exchange(rr *Recursive, cs *ConnState, now time.Duration, n *zonedb.Name, rp RetryPolicy) Result
 }
 
 // NewTransport builds the transport for a kind. The zero kind returns
@@ -191,9 +192,9 @@ type UDPTransport struct{}
 // Kind returns TransportUDP.
 func (UDPTransport) Kind() TransportKind { return TransportUDP }
 
-// Exchange runs the datagram retry ladder. See Recursive.LookupWith for
+// Exchange runs the datagram retry ladder. See Recursive.LookupConn for
 // the failure-model contract.
-func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, host string, rp RetryPolicy) Result {
+func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, n *zonedb.Name, rp RetryPolicy) Result {
 	faults := rr.Profile.Faults
 	var elapsed time.Duration
 	var res Result
@@ -228,7 +229,7 @@ func (UDPTransport) Exchange(rr *Recursive, _ *ConnState, now time.Duration, hos
 			continue
 		}
 		arrival := sendAt + owdOut
-		answers, rcode, fromCache, iterate := rr.answerAt(part, arrival, host)
+		answers, rcode, fromCache, iterate := rr.answerAt(part, arrival, n)
 		if lostBack {
 			// The response was lost on the way back. The frontend cache
 			// is warm now, so a retry may turn an R into an SC — exactly
@@ -330,7 +331,7 @@ func (c StreamConfig) HandshakeRTTs(kind TransportKind, resumed bool) int {
 // connection instead of one datagram. Responses of any size fit a
 // stream, so there is no truncation re-ask. A connection pins its
 // frontend partition and anycast address for its lifetime.
-func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Duration, host string, rp RetryPolicy) Result {
+func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Duration, n *zonedb.Name, rp RetryPolicy) Result {
 	faults := rr.Profile.Faults
 	var elapsed time.Duration
 	var res Result
@@ -384,7 +385,7 @@ func (t *StreamTransport) Exchange(rr *Recursive, cs *ConnState, now time.Durati
 			continue
 		}
 		arrival := sendAt + owdOut
-		answers, rcode, fromCache, iterate := rr.answerAt(rr.parts[cs.part], arrival, host)
+		answers, rcode, fromCache, iterate := rr.answerAt(rr.parts[cs.part], arrival, n)
 		owdBack, reset := rr.Profile.Link.DeliverStream(&cs.stream, arrival+iterate, faults, rr.rng)
 		if reset {
 			// The response died with the connection. The frontend cache is

@@ -87,7 +87,9 @@ func detEcosystem(t *testing.T) (*zonedb.DB, *Authority) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return zones, &Authority{zones: zones, NegTTL: 300 * time.Second}
+	auth := NewAuthority(zones)
+	auth.tldCacheMissProb, auth.jitter = 0, netsim.Link{}
+	return zones, auth
 }
 
 // detProfile is a deterministic-link platform: no jitter, no slow
@@ -114,10 +116,10 @@ func TestUDPDrawOrderContract(t *testing.T) {
 	prof := DefaultProfiles()[int(PlatformCloudflare)] // jittered link: draws happen
 	prof.ExternalQPS = 0
 	prof.AuthExtra = netsim.Link{}
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 
 	rr := NewRecursive(prof, auth, stats.NewRNG(23))
-	res := rr.LookupConn(nil, 0, host, DefaultRetryPolicy())
+	res := rr.LookupConn(nil, 0, name, DefaultRetryPolicy())
 	if res.ServFail || res.Attempts != 1 {
 		t.Fatalf("zero-fault lookup failed: %+v", res)
 	}
@@ -141,10 +143,10 @@ func TestStreamDrawOrderContract(t *testing.T) {
 	prof.ExternalQPS = 0
 	prof.AuthExtra = netsim.Link{}
 	prof.Transport = TransportTLS
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 
 	rr := NewRecursive(prof, auth, stats.NewRNG(29))
-	res := rr.LookupConn(&ConnState{}, 0, host, DefaultRetryPolicy())
+	res := rr.LookupConn(&ConnState{}, 0, name, DefaultRetryPolicy())
 	if res.ServFail || res.Attempts != 1 {
 		t.Fatalf("zero-fault lookup failed: %+v", res)
 	}
@@ -174,11 +176,10 @@ func TestStreamColdReuseResume(t *testing.T) {
 	prof := detProfile(TransportTLS, true)
 	rr := NewRecursive(prof, auth, stats.NewRNG(31))
 	name := zones.ByRank(0)
-	host := name.Host
 	cs := &ConnState{}
 	rtt := 10 * time.Millisecond
 
-	cold := rr.LookupConn(cs, 0, host, DefaultRetryPolicy())
+	cold := rr.LookupConn(cs, 0, name, DefaultRetryPolicy())
 	if cold.Reused || cold.Resumed || cold.Handshake != 3*rtt {
 		t.Fatalf("cold: %+v", cold)
 	}
@@ -190,7 +191,7 @@ func TestStreamColdReuseResume(t *testing.T) {
 
 	// Within the idle window: reuse, no handshake, cache-warm exchange.
 	now := cold.Duration + time.Second
-	reused := rr.LookupConn(cs, now, host, DefaultRetryPolicy())
+	reused := rr.LookupConn(cs, now, name, DefaultRetryPolicy())
 	if !reused.Reused || reused.Handshake != 0 || !reused.FromCache {
 		t.Fatalf("reused: %+v", reused)
 	}
@@ -200,7 +201,7 @@ func TestStreamColdReuseResume(t *testing.T) {
 
 	// Past the idle window, inside the ticket lifetime: resumed handshake.
 	now += prof.Stream.WithDefaults(TransportTLS).IdleTimeout + time.Minute
-	resumed := rr.LookupConn(cs, now, host, DefaultRetryPolicy())
+	resumed := rr.LookupConn(cs, now, name, DefaultRetryPolicy())
 	if resumed.Reused || !resumed.Resumed || resumed.Handshake != 2*rtt {
 		t.Fatalf("resumed: %+v", resumed)
 	}
@@ -215,8 +216,8 @@ func TestStreamColdReuseResume(t *testing.T) {
 	// Same schedule without resumption: the reconnect is a full handshake.
 	rr2 := NewRecursive(detProfile(TransportTLS, false), auth, stats.NewRNG(31))
 	cs2 := &ConnState{}
-	rr2.LookupConn(cs2, 0, host, DefaultRetryPolicy())
-	full := rr2.LookupConn(cs2, now, host, DefaultRetryPolicy())
+	rr2.LookupConn(cs2, 0, name, DefaultRetryPolicy())
+	full := rr2.LookupConn(cs2, now, name, DefaultRetryPolicy())
 	if full.Resumed || full.Handshake != 3*rtt {
 		t.Fatalf("resumption disabled: %+v", full)
 	}
@@ -228,7 +229,7 @@ func TestDoTCPHandshakeOneRTT(t *testing.T) {
 	zones, auth := detEcosystem(t)
 	rr := NewRecursive(detProfile(TransportTCP, true), auth, stats.NewRNG(37))
 	cs := &ConnState{}
-	res := rr.LookupConn(cs, 0, zones.ByRank(0).Host, DefaultRetryPolicy())
+	res := rr.LookupConn(cs, 0, zones.ByRank(0), DefaultRetryPolicy())
 	if res.Handshake != 10*time.Millisecond || res.Resumed {
 		t.Fatalf("DoTCP cold: %+v", res)
 	}
@@ -238,20 +239,20 @@ func TestDoTCPHandshakeOneRTT(t *testing.T) {
 // every exchange, including reused-connection ones.
 func TestDoHPerQueryOverhead(t *testing.T) {
 	zones, auth := detEcosystem(t)
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 	overhead := 500 * time.Microsecond
 
 	dot := NewRecursive(detProfile(TransportTLS, false), auth, stats.NewRNG(41))
 	doh := NewRecursive(detProfile(TransportHTTPS, false), auth, stats.NewRNG(41))
 	csT, csH := &ConnState{}, &ConnState{}
 
-	coldT := dot.LookupConn(csT, 0, host, DefaultRetryPolicy())
-	coldH := doh.LookupConn(csH, 0, host, DefaultRetryPolicy())
+	coldT := dot.LookupConn(csT, 0, name, DefaultRetryPolicy())
+	coldH := doh.LookupConn(csH, 0, name, DefaultRetryPolicy())
 	if coldH.Duration != coldT.Duration+overhead {
 		t.Fatalf("cold DoH %v, DoT %v: want exactly +%v", coldH.Duration, coldT.Duration, overhead)
 	}
-	warmT := dot.LookupConn(csT, coldT.Duration+time.Second, host, DefaultRetryPolicy())
-	warmH := doh.LookupConn(csH, coldT.Duration+time.Second, host, DefaultRetryPolicy())
+	warmT := dot.LookupConn(csT, coldT.Duration+time.Second, name, DefaultRetryPolicy())
+	warmH := doh.LookupConn(csH, coldT.Duration+time.Second, name, DefaultRetryPolicy())
 	if warmH.Duration != warmT.Duration+overhead {
 		t.Fatalf("warm DoH %v, DoT %v: want exactly +%v", warmH.Duration, warmT.Duration, overhead)
 	}
@@ -263,7 +264,7 @@ func TestDoHPerQueryOverhead(t *testing.T) {
 // never slower than a cold connection.
 func TestReuseMonotonicityProperty(t *testing.T) {
 	zones, auth := detEcosystem(t)
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 	seeds := stats.NewRNG(43)
 	for trial := 0; trial < 25; trial++ {
 		base := time.Duration(1+seeds.Intn(50)) * time.Millisecond
@@ -272,10 +273,10 @@ func TestReuseMonotonicityProperty(t *testing.T) {
 		rr := NewRecursive(prof, auth, stats.NewRNG(uint64(100+trial)))
 		cs := &ConnState{}
 
-		cold := rr.LookupConn(cs, 0, host, DefaultRetryPolicy())
-		reused := rr.LookupConn(cs, cold.Duration+time.Second, host, DefaultRetryPolicy())
+		cold := rr.LookupConn(cs, 0, name, DefaultRetryPolicy())
+		reused := rr.LookupConn(cs, cold.Duration+time.Second, name, DefaultRetryPolicy())
 		resumedAt := cold.Duration + 2*time.Second + prof.Stream.WithDefaults(TransportTLS).IdleTimeout + time.Second
-		resumed := rr.LookupConn(cs, resumedAt, host, DefaultRetryPolicy())
+		resumed := rr.LookupConn(cs, resumedAt, name, DefaultRetryPolicy())
 
 		if !reused.Reused || !resumed.Resumed || cold.Reused || cold.Resumed {
 			t.Fatalf("trial %d (base %v): tiers mislabeled: cold=%+v reused=%+v resumed=%+v",
@@ -304,15 +305,15 @@ func TestStreamResetReconnectsNotRetransmits(t *testing.T) {
 	// (after one 3s timeout) lands past the window and succeeds.
 	prof.Faults = netsim.FaultProfile{Outages: []netsim.Window{{Start: 5 * time.Second, End: 8 * time.Second}}}
 	rr := NewRecursive(prof, auth, stats.NewRNG(47))
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 	cs := &ConnState{}
 
-	first := rr.LookupConn(cs, 0, host, DefaultRetryPolicy())
+	first := rr.LookupConn(cs, 0, name, DefaultRetryPolicy())
 	if first.ServFail || first.Attempts != 1 {
 		t.Fatalf("pre-outage lookup: %+v", first)
 	}
 
-	res := rr.LookupConn(cs, 6*time.Second, host, DefaultRetryPolicy())
+	res := rr.LookupConn(cs, 6*time.Second, name, DefaultRetryPolicy())
 	if res.ServFail {
 		t.Fatalf("post-reset reconnect failed: %+v", res)
 	}
@@ -350,7 +351,7 @@ func TestStreamOutageConnectTimeouts(t *testing.T) {
 	prof.Faults = netsim.FaultProfile{Outages: []netsim.Window{{Start: 0, End: time.Hour}}}
 	rr := NewRecursive(prof, auth, stats.NewRNG(53))
 
-	res := rr.LookupConn(&ConnState{}, 0, zones.ByRank(0).Host, DefaultRetryPolicy())
+	res := rr.LookupConn(&ConnState{}, 0, zones.ByRank(0), DefaultRetryPolicy())
 	if !res.ServFail || res.RCode != RCodeServFail {
 		t.Fatalf("outage lookup did not servfail: %+v", res)
 	}
@@ -372,7 +373,7 @@ func TestStreamTotalLossServFail(t *testing.T) {
 	prof.Faults = netsim.FaultProfile{Loss: 1}
 	rr := NewRecursive(prof, auth, stats.NewRNG(59))
 
-	res := rr.LookupConn(&ConnState{}, 0, zones.ByRank(0).Host, DefaultRetryPolicy())
+	res := rr.LookupConn(&ConnState{}, 0, zones.ByRank(0), DefaultRetryPolicy())
 	if !res.ServFail || res.Duration != 9*time.Second || res.Attempts != 2 {
 		t.Fatalf("total loss: %+v", res)
 	}
@@ -386,20 +387,20 @@ func TestStreamTotalLossServFail(t *testing.T) {
 // a stream transport.
 func TestStreamNoTruncationReAsk(t *testing.T) {
 	zones, auth := detEcosystem(t)
-	var host string
-	for _, n := range zones.Names() {
-		if len(n.Addrs) >= 2 {
-			host = n.Host
+	var name *zonedb.Name
+	for i := range zones.Names() {
+		if n := zones.ByRank(i); len(n.Addrs) >= 2 {
+			name = n
 			break
 		}
 	}
-	if host == "" {
+	if name == nil {
 		t.Skip("no multi-address name in the zone")
 	}
 	prof := detProfile(TransportTCP, false)
 	prof.Faults = netsim.FaultProfile{TruncateOver: 1}
 	rr := NewRecursive(prof, auth, stats.NewRNG(61))
-	res := rr.LookupConn(&ConnState{}, 0, host, DefaultRetryPolicy())
+	res := rr.LookupConn(&ConnState{}, 0, name, DefaultRetryPolicy())
 	if res.TCPFallback {
 		t.Fatalf("stream transport took the TC→TCP re-ask: %+v", res)
 	}
@@ -413,10 +414,10 @@ func TestStreamNoTruncationReAsk(t *testing.T) {
 func TestNilConnStateAlwaysCold(t *testing.T) {
 	zones, auth := detEcosystem(t)
 	rr := NewRecursive(detProfile(TransportTLS, true), auth, stats.NewRNG(67))
-	host := zones.ByRank(0).Host
+	name := zones.ByRank(0)
 
-	a := rr.LookupConn(nil, 0, host, DefaultRetryPolicy())
-	b := rr.LookupConn(nil, time.Second, host, DefaultRetryPolicy())
+	a := rr.LookupConn(nil, 0, name, DefaultRetryPolicy())
+	b := rr.LookupConn(nil, time.Second, name, DefaultRetryPolicy())
 	if a.Reused || b.Reused || b.Resumed {
 		t.Fatalf("state leaked across nil-ConnState lookups: %+v, %+v", a, b)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"dnscontext/internal/stats"
@@ -72,6 +73,11 @@ type Name struct {
 	Port uint16
 	// Rank is the popularity rank (0 = most popular).
 	Rank int
+	// ID is the name's dense symbol: its rank for ranked names, and
+	// NumIDs()-1 for the connectivity-check probe name. Caches and
+	// per-name tables key on it instead of hashing Host. IDs at or past
+	// NumIDs() belong to names outside the namespace.
+	ID int32
 	// CDN is true when the name is hosted on shared CDN infrastructure.
 	CDN bool
 }
@@ -101,7 +107,9 @@ func DefaultConfig() Config {
 // DB is an immutable synthetic namespace. Lookups by hostname and
 // popularity-weighted sampling are both supported.
 type DB struct {
-	names  []*Name
+	// names is the ranked universe, by value in one slab; every *Name
+	// the DB hands out points into it (or at ConnectivityCheck).
+	names  []Name
 	byHost map[string]*Name
 	zipf   *stats.Zipf
 	// shares[rank] is the popularity pmf.
@@ -192,8 +200,8 @@ func New(cfg Config, r *stats.RNG) (*DB, error) {
 	}
 
 	db := &DB{
-		names:  make([]*Name, 0, cfg.NumNames),
-		byHost: make(map[string]*Name, cfg.NumNames),
+		names:  make([]Name, cfg.NumNames),
+		byHost: make(map[string]*Name, cfg.NumNames+1),
 		zipf:   zipf,
 		shares: make([]float64, cfg.NumNames),
 	}
@@ -211,13 +219,22 @@ func New(cfg Config, r *stats.RNG) (*DB, error) {
 	// tail for far-away or lame infrastructure.
 	authDelay := stats.LogNormalFromMedian(10, 0.9) // milliseconds
 
+	// Every host is spelled into one buffer and every address list into
+	// one slab, so the namespace costs a handful of allocations, not a
+	// few per name. Either may regrow while it fills, so the loop records
+	// where name i's host and addresses end (hostEnd, addrEnd), and the
+	// names are pointed into the final backings afterwards.
+	hosts := make([]byte, 0, cfg.NumNames*len("video.site00000.com"))
+	addrs := make([]netip.Addr, 0, cfg.NumNames+cfg.NumNames/2)
+	hostEnd := make([]int, cfg.NumNames)
+	addrEnd := make([]int, cfg.NumNames)
 	for i := 0; i < cfg.NumNames; i++ {
-		n := &Name{Rank: i}
+		n := &db.names[i]
+		n.Rank, n.ID = i, int32(i)
 		sel := serviceMix[svcW.Pick(r)]
 		n.Service, n.Port = sel.class, sel.port
 		n.CDN = r.Bool(cfg.CDNFraction)
 
-		label := fmt.Sprintf("site%05d", i)
 		sub := "www"
 		switch n.Service {
 		case ServiceAPI:
@@ -232,24 +249,31 @@ func New(cfg Config, r *stats.RNG) (*DB, error) {
 		if n.CDN {
 			sub = "cdn"
 		}
-		n.Host = fmt.Sprintf("%s.%s.%s", sub, label, tlds[i%len(tlds)])
+		hosts = appendHost(hosts, sub, i, tlds[i%len(tlds)])
+		hostEnd[i] = len(hosts)
 
 		if n.CDN {
 			n.TTL = cdnTTLBuckets[cdnTTLW.Pick(r)].ttl
 			// One or two addresses from the shared pool.
-			n.Addrs = append(n.Addrs, cdnPool[r.Intn(len(cdnPool))])
+			addrs = append(addrs, cdnPool[r.Intn(len(cdnPool))])
 			if r.Bool(0.3) {
-				n.Addrs = append(n.Addrs, cdnPool[r.Intn(len(cdnPool))])
+				addrs = append(addrs, cdnPool[r.Intn(len(cdnPool))])
 			}
 		} else {
 			n.TTL = ttlBuckets[ttlW.Pick(r)].ttl
 			// Dedicated address derived from the rank: 203.0.x.y is unique
 			// per name modulo 65536, then 100.64+ for the overflow.
-			n.Addrs = []netip.Addr{dedicatedAddr(i)}
+			addrs = append(addrs, dedicatedAddr(i))
 		}
+		addrEnd[i] = len(addrs)
 		n.AuthDelay = time.Duration(authDelay.Sample(r)*float64(time.Millisecond)) + 3*time.Millisecond
-
-		db.names = append(db.names, n)
+	}
+	all, h, a := string(hosts), 0, 0
+	for i := range db.names {
+		n := &db.names[i]
+		n.Host = all[h:hostEnd[i]]
+		n.Addrs = addrs[a:addrEnd[i]:addrEnd[i]]
+		h, a = hostEnd[i], addrEnd[i]
 		db.byHost[n.Host] = n
 	}
 
@@ -263,11 +287,26 @@ func New(cfg Config, r *stats.RNG) (*DB, error) {
 		Service:   ServiceProbe,
 		Port:      443,
 		Rank:      -1,
+		ID:        int32(cfg.NumNames),
 		CDN:       true,
 	}
 	db.byHost[cc.Host] = cc
 	db.ConnectivityCheck = cc
 	return db, nil
+}
+
+// appendHost appends the host of the ranked name i to b: sub, then
+// "site" and the rank zero-padded to at least five digits, then tld —
+// the spelling fmt.Sprintf("%s.site%05d.%s", sub, i, tld) gives.
+func appendHost(b []byte, sub string, i int, tld string) []byte {
+	b = append(b, sub...)
+	b = append(b, ".site"...)
+	for p := 10000; p > 1 && i < p; p /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, '.')
+	return append(b, tld...)
 }
 
 func weights(buckets []ttlBucket) (*stats.Weighted, error) {
@@ -290,11 +329,16 @@ func dedicatedAddr(rank int) netip.Addr {
 // Size returns the number of ranked names (excluding the probe name).
 func (db *DB) Size() int { return len(db.names) }
 
+// NumIDs returns the number of name symbols in the namespace: the
+// ranked names plus the probe name. Every Name the DB holds has an ID
+// below it.
+func (db *DB) NumIDs() int { return len(db.names) + 1 }
+
 // Pick samples a name by popularity.
-func (db *DB) Pick(r *stats.RNG) *Name { return db.names[db.zipf.Rank(r)] }
+func (db *DB) Pick(r *stats.RNG) *Name { return &db.names[db.zipf.Rank(r)] }
 
 // ByRank returns the name at the given popularity rank.
-func (db *DB) ByRank(rank int) *Name { return db.names[rank] }
+func (db *DB) ByRank(rank int) *Name { return &db.names[rank] }
 
 // Lookup returns the name record for host, or nil.
 func (db *DB) Lookup(host string) *Name { return db.byHost[host] }
@@ -313,6 +357,6 @@ func (db *DB) Share(n *Name) float64 {
 	return db.shares[n.Rank]
 }
 
-// Names returns the ranked name universe. The slice is owned by the DB and
-// must not be modified.
-func (db *DB) Names() []*Name { return db.names }
+// Names returns the ranked name universe, in rank order. The slice is
+// owned by the DB and must not be modified.
+func (db *DB) Names() []Name { return db.names }

@@ -1,6 +1,7 @@
 package zonedb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,36 @@ func TestHostNamingConvention(t *testing.T) {
 	for _, n := range db.Names()[:100] {
 		if strings.Count(n.Host, ".") != 2 {
 			t.Fatalf("host %q not three labels", n.Host)
+		}
+	}
+}
+
+// TestHostSpellingMatchesSprintf pins the append-built hosts to the
+// historical fmt.Sprintf("%s.site%05d.%s") spelling on a namespace past
+// 100k names, so six-digit ranks, whose label outgrows the padding, are
+// covered too. It also checks that each name's ID is its rank and that
+// Lookup finds the slab entry itself.
+func TestHostSpellingMatchesSprintf(t *testing.T) {
+	db := newDB(t, Config{NumNames: 120_000, ZipfExponent: 1, CDNFraction: 0.35, CDNPoolSize: 3000})
+	if db.NumIDs() != 120_001 || db.ConnectivityCheck.ID != 120_000 {
+		t.Fatalf("NumIDs %d, probe ID %d; want 120001, 120000", db.NumIDs(), db.ConnectivityCheck.ID)
+	}
+	subs := map[ServiceClass]string{ServiceWeb: "www", ServiceAPI: "api", ServiceVideo: "video",
+		ServiceDownload: "dl", ServiceChat: "chat"}
+	for i := range db.Names() {
+		n := db.ByRank(i)
+		sub := subs[n.Service]
+		if n.CDN {
+			sub = "cdn"
+		}
+		if want := fmt.Sprintf("%s.site%05d.%s", sub, i, tlds[i%len(tlds)]); n.Host != want {
+			t.Fatalf("rank %d: host %q, want %q", i, n.Host, want)
+		}
+		if n.ID != int32(i) || n.Rank != i {
+			t.Fatalf("rank %d: ID %d, Rank %d", i, n.ID, n.Rank)
+		}
+		if db.Lookup(n.Host) != n {
+			t.Fatalf("rank %d: Lookup(%q) is not the slab entry", i, n.Host)
 		}
 	}
 }
