@@ -21,6 +21,7 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzReadConnsJSON \
 	./internal/trace:FuzzWriteDNS \
 	./internal/trace:FuzzWriteConns \
+	./internal/trace:FuzzChunkedMatchesReference \
 	./internal/bulk:FuzzFeed \
 	./internal/core:FuzzReadShardFile \
 	./internal/dnswire:FuzzDecode
@@ -41,12 +42,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The goldens and draw-order contracts on one CPU. The generator draws
-# connection transfers on a second goroutine; with GOMAXPROCS=1 that
-# goroutine and the simulation interleave only at the scheduler's whim,
-# so this pins that the output cannot depend on the interleaving.
+# The goldens, draw-order, read and parity contracts on one CPU. The
+# generator draws connection transfers on a second goroutine; with
+# GOMAXPROCS=1 that goroutine and the simulation interleave only at the
+# scheduler's whim, so this pins that the output cannot depend on the
+# interleaving. The TSV reader parses on one worker there — the width a
+# 1-CPU host gets by default — so the read contracts and the ingest
+# parity tests run at that width too.
 golden-1cpu:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Golden|DrawOrder' ./internal/core ./internal/resolver ./internal/households
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Golden|DrawOrder|Contract|Parity' ./internal/core ./internal/resolver ./internal/households ./internal/trace
 
 # The end-to-end benchmark is a module of its own (perfbench/go.mod), so
 # `./...` above never builds or tests it; this target catches a library
@@ -106,8 +110,9 @@ chaos:
 	DNSCTX_CHAOS_NAMES=$(CHAOSNAMES) $(GO) test ./internal/bulk -race \
 		-run='^TestChaosSoak$$|^TestResumeAfterKill$$' -count=1 -timeout=10m -v
 
-# Short-budget coverage-guided fuzzing of the trace codecs, the bulk
-# feed reader, the shard file reader, and the DNS message decoder. Go
+# Short-budget coverage-guided fuzzing of the trace codecs, the chunked
+# TSV reader against its serial reference, the bulk feed reader, the
+# shard file reader, and the DNS message decoder. Go
 # allows one -fuzz target per invocation, so loop over package:function
 # pairs.
 fuzz:

@@ -56,14 +56,20 @@ func TestAnalyzerOptionsApply(t *testing.T) {
 	}
 }
 
+// TestAnalyzerMatchesLegacyAnalyze: an Analyzer built from functional
+// options and one built from an assembled Options struct (the form the
+// removed Analyze(ds, Options) function took) agree on the same trace.
 func TestAnalyzerMatchesLegacyAnalyze(t *testing.T) {
 	opts := dnscontext.DefaultOptions()
 	opts.SCRMinSamples = 100
 
 	a := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(100)).Analyze(generateTiny(t, 11))
-	b := dnscontext.Analyze(generateTiny(t, 11), opts)
+	b, err := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts)).AnalyzeContext(context.Background(), generateTiny(t, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(a.Paired, b.Paired) || !reflect.DeepEqual(a.Thresholds, b.Thresholds) {
-		t.Fatal("Analyzer.Analyze and legacy Analyze disagree on the same trace")
+		t.Fatal("functional options and WithOptions disagree on the same trace")
 	}
 }
 
@@ -95,7 +101,7 @@ func TestAnalyzerContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled AnalyzeContext = (%v, %v), want (nil, context.Canceled)", a, err)
 	}
 
-	a, err = dnscontext.AnalyzeContext(context.Background(), ds, dnscontext.DefaultOptions())
+	a, err = dnscontext.NewAnalyzer().AnalyzeContext(context.Background(), ds)
 	if err != nil || a == nil {
 		t.Fatalf("AnalyzeContext = (%v, %v)", a, err)
 	}

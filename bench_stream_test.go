@@ -69,8 +69,8 @@ func streamBenchTrace(b *testing.B) (dir string, records int, resident int64, di
 		}
 		// The digest both variants must reproduce, computed from the
 		// serialized trace (TSV timestamps are microsecond-grained).
-		a, err := AnalyzeSource(context.Background(),
-			NewDirSource(s.dir, StrictPolicy()), DefaultOptions())
+		a, err := NewAnalyzer().AnalyzeSource(context.Background(),
+			NewDirSource(s.dir, StrictPolicy()))
 		if err != nil {
 			s.err = err
 			return

@@ -49,7 +49,7 @@ func benchAnalysis(b *testing.B) (*Analysis, *Dataset, *Ecosystem) {
 		}
 		benchState.ds = ds
 		benchState.eco = eco
-		benchState.analysis = Analyze(ds, DefaultOptions())
+		benchState.analysis = NewAnalyzer().Analyze(ds)
 	})
 	return benchState.analysis, benchState.ds, benchState.eco
 }
@@ -64,7 +64,7 @@ func BenchmarkTable2Classification(b *testing.B) {
 	var a *Analysis
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = Analyze(ds, DefaultOptions())
+		a = NewAnalyzer().Analyze(ds)
 	}
 	b.StopTimer()
 	b.ReportMetric(pct(a.Fraction(ClassN)), "N_pct")
@@ -355,7 +355,7 @@ func BenchmarkAblationBlockingThreshold(b *testing.B) {
 			opts.BlockThreshold = th
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = NewAnalyzer(WithOptions(opts)).Analyze(ds)
 			}
 			b.ReportMetric(pct(a.BlockedFraction()), "blocked_pct")
 		})
@@ -375,7 +375,7 @@ func BenchmarkAblationSCRThreshold(b *testing.B) {
 			opts.SCRMinSamples = 1 << 30
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = NewAnalyzer(WithOptions(opts)).Analyze(ds)
 			}
 			b.ReportMetric(pct(a.SharedCacheHitRate()), "sc_of_blocked_pct")
 		})
@@ -395,7 +395,7 @@ func BenchmarkAblationPairingPolicy(b *testing.B) {
 			opts.Pairing = policy.p
 			var a *Analysis
 			for i := 0; i < b.N; i++ {
-				a = Analyze(ds, opts)
+				a = NewAnalyzer(WithOptions(opts)).Analyze(ds)
 			}
 			b.ReportMetric(pct(a.Fraction(ClassLC)), "LC_pct")
 		})
@@ -470,7 +470,7 @@ func BenchmarkExtensionEncryptedDNS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a = Analyze(ds, DefaultOptions())
+				a = NewAnalyzer().Analyze(ds)
 			}
 			b.ReportMetric(pct(a.Fraction(ClassN)), "N_pct")
 		})
@@ -545,7 +545,7 @@ func BenchmarkFaultLossSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a = Analyze(ds, DefaultOptions())
+		a = NewAnalyzer().Analyze(ds)
 	}
 	b.StopTimer()
 	fs := a.Failures()

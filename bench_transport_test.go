@@ -39,7 +39,7 @@ func BenchmarkTransportLookup(b *testing.B) {
 					b.Fatal(err)
 				}
 				eco = e
-				a = Analyze(ds, DefaultOptions())
+				a = NewAnalyzer().Analyze(ds)
 			}
 			b.StopTimer()
 			b.ReportMetric(pct(a.BlockedFraction()), "blocked_pct")

@@ -70,7 +70,7 @@ func main() {
 		figures  = flag.String("figures", "", "also export per-figure CSV data into this directory")
 		perHouse = flag.Bool("per-house", false, "append a per-house breakdown to the report")
 
-		quarantine  = flag.Bool("quarantine", false, "divert malformed TSV input lines to stderr instead of aborting (with -dns/-conns)")
+		quarantine  = flag.Bool("quarantine", false, "divert malformed TSV input lines to stderr instead of aborting (with -dns/-conns or -trace-dir)")
 		quarMaxErrs = flag.Int("quarantine-max-errors", -1, "malformed lines tolerated before aborting; -1 = unlimited (with -quarantine)")
 		quarMaxRate = flag.Float64("quarantine-max-rate", 0, "malformed-line fraction tolerated before aborting; 0 = no rate check (with -quarantine)")
 
@@ -82,7 +82,7 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "directory of time-partitioned trace files (*.dns.tsv / *.conn.tsv) to stream (with -stream)")
 		memBudget = flag.String("memory-budget", "", "resident-record budget before spilling to disk, e.g. 256m or 2g; empty = unlimited (with -stream)")
 		spillDir  = flag.String("spill-dir", "", "directory for spill partitions; empty = fresh temp dir (with -stream)")
-		ingestW   = flag.Int("ingest-workers", 0, "goroutines parsing the TSV input; 0 = match the analysis pool, negative = serial scanner (with -stream)")
+		ingestW   = flag.Int("ingest-workers", 0, "goroutines parsing the TSV input; 0 = match the analysis pool, negative = one")
 		shardOut  = flag.String("shard-out", "", "also write the mergeable analysis shard to this file (with -stream or -merge)")
 		merge     = flag.Bool("merge", false, "merge shard files (the remaining arguments) and report the reduced analysis")
 
@@ -113,6 +113,17 @@ func main() {
 	if _, err := dnscontext.ParseTransport(*transport); err != nil {
 		usageErr("bad -transport: %v", err)
 	}
+	if *format != "tsv" && *format != "json" {
+		usageErr("unknown -format %q (want tsv or json)", *format)
+	}
+	if *quarantine {
+		if *generate || *merge {
+			usageErr("-quarantine applies to TSV logs read with -dns/-conns or -trace-dir; it cannot be combined with -generate or -merge")
+		}
+		if *format != "tsv" {
+			usageErr("-quarantine requires -format tsv")
+		}
+	}
 	if *ckResume && *ckPath == "" {
 		usageErr("-resume requires -checkpoint (there is no snapshot file to resume from)")
 	}
@@ -138,9 +149,6 @@ func main() {
 		}
 		if *spillDir != "" {
 			usageErr("-spill-dir requires -stream")
-		}
-		if *ingestW != 0 {
-			usageErr("-ingest-workers requires -stream (the in-memory readers choose their own parse workers)")
 		}
 		if *shardOut != "" && !*merge {
 			usageErr("-shard-out requires -stream or -merge")
@@ -189,6 +197,32 @@ func main() {
 		log.Printf("metrics at http://%s/metrics", srv.Addr())
 	}
 
+	opts := dnscontext.DefaultOptions()
+	opts.BlockThreshold = *block
+	opts.SCRMinSamples = *scrMin
+	opts.DefaultSCThreshold = *scrDef
+	if *randPair {
+		opts.Pairing = dnscontext.PairRandom
+	}
+	opts.Metrics = reg
+	var tr *dnscontext.Tracer
+	if *timeline || *timelineJSON != "" {
+		tr = dnscontext.NewTracer()
+		opts.Trace = tr
+	}
+	if *ckPath != "" {
+		opts.Checkpoint = &dnscontext.AnalysisCheckpoint{
+			Path: *ckPath, Interval: *ckInterval, Resume: *ckResume,
+		}
+	}
+	opts.MemoryBudget = budget
+	opts.SpillDir = *spillDir
+	opts.IngestWorkers = *ingestW
+	policy := dnscontext.StrictPolicy()
+	if *quarantine {
+		policy = dnscontext.QuarantineBudget(*quarMaxErrs, *quarMaxRate)
+	}
+
 	var ds *dnscontext.Dataset
 	profiles := dnscontext.DefaultProfiles()
 	switch {
@@ -222,70 +256,31 @@ func main() {
 		}
 		profiles = eco.Profiles
 	case *dnsIn != "" && *connIn != "":
-		readD, readC := dnscontext.ReadDNS, dnscontext.ReadConns
-		switch *format {
-		case "tsv":
-		case "json":
-			if *quarantine {
-				log.Fatal("-quarantine requires -format tsv")
-			}
-			readD, readC = trace.ReadDNSJSON, trace.ReadConnsJSON
-		default:
-			log.Fatalf("unknown -format %q (want tsv or json)", *format)
-		}
-		ds = &dnscontext.Dataset{}
 		var err error
-		if *quarantine {
-			policy := dnscontext.QuarantineBudget(*quarMaxErrs, *quarMaxRate)
-			if ds.DNS, err = scanDNS(*dnsIn, policy, reg); err != nil {
-				log.Fatal(err)
-			}
-			if ds.Conns, err = scanConns(*connIn, policy, reg); err != nil {
-				log.Fatal(err)
+		if *format == "json" {
+			ds = &dnscontext.Dataset{}
+			if ds.DNS, err = readFile(*dnsIn, trace.ReadDNSJSON); err == nil {
+				ds.Conns, err = readFile(*connIn, trace.ReadConnsJSON)
 			}
 		} else {
-			if ds.DNS, err = readFile(*dnsIn, readD); err != nil {
-				log.Fatal(err)
-			}
-			if ds.Conns, err = readFile(*connIn, readC); err != nil {
-				log.Fatal(err)
-			}
+			ds, err = loadTSV(*dnsIn, *connIn, policy, core.IngestWorkers(opts), reg)
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 	default:
 		log.Fatal("pass -dns AND -conns, -generate, -stream, or -merge")
 	}
 
-	opts := dnscontext.DefaultOptions()
-	opts.BlockThreshold = *block
-	opts.SCRMinSamples = *scrMin
-	opts.DefaultSCThreshold = *scrDef
-	if *randPair {
-		opts.Pairing = dnscontext.PairRandom
-	}
-	opts.Metrics = reg
-	var tr *dnscontext.Tracer
-	if *timeline || *timelineJSON != "" {
-		tr = dnscontext.NewTracer()
-		opts.Trace = tr
-	}
-	if *ckPath != "" {
-		opts.Checkpoint = &dnscontext.AnalysisCheckpoint{
-			Path: *ckPath, Interval: *ckInterval, Resume: *ckResume,
-		}
-	}
-	opts.MemoryBudget = budget
-	opts.SpillDir = *spillDir
-	opts.IngestWorkers = *ingestW
-
+	an := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts))
 	var a *dnscontext.Analysis
 	switch {
 	case *merge:
 		a, err = runMerge(flag.Args(), *shardOut)
 	case *stream:
-		a, err = runStream(opts, *traceDir, *dnsIn, *connIn, *shardOut,
-			*quarantine, *quarMaxErrs, *quarMaxRate, reg)
+		a, err = runStream(an, policy, *traceDir, *dnsIn, *connIn, *shardOut)
 	default:
-		a, err = dnscontext.AnalyzeContext(context.Background(), ds, opts)
+		a, err = an.AnalyzeContext(context.Background(), ds)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -397,15 +392,12 @@ func runMerge(paths []string, shardOut string) (*dnscontext.Analysis, error) {
 // runStream analyzes the trace out of core. With shardOut the map
 // phase's mergeable shard is persisted before finalizing, so the same
 // invocation both contributes to a multi-process merge and reports its
-// own slice.
-func runStream(opts dnscontext.Options, traceDir, dnsIn, connIn, shardOut string,
-	quarantine bool, quarMaxErrs int, quarMaxRate float64, reg *dnscontext.MetricsRegistry) (*dnscontext.Analysis, error) {
-	policy := dnscontext.StrictPolicy()
-	if quarantine {
-		policy = dnscontext.QuarantineBudget(quarMaxErrs, quarMaxRate)
-		policy.Sink = func(q dnscontext.Quarantined) {
-			log.Printf("quarantined line %d: %v", q.Line, q.Err)
-		}
+// own slice. A -trace-dir source names the partition file in each
+// quarantined line's cause.
+func runStream(an *dnscontext.Analyzer, policy dnscontext.ErrorPolicy,
+	traceDir, dnsIn, connIn, shardOut string) (*dnscontext.Analysis, error) {
+	policy.Sink = func(q dnscontext.Quarantined) {
+		log.Printf("quarantined line %d: %v", q.Line, q.Err)
 	}
 	var src dnscontext.Source
 	if traceDir != "" {
@@ -423,7 +415,6 @@ func runStream(opts dnscontext.Options, traceDir, dnsIn, connIn, shardOut string
 		defer cf.Close()
 		src = dnscontext.NewScannerSource(df, cf, policy)
 	}
-	an := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts))
 	if shardOut == "" {
 		return an.AnalyzeSource(context.Background(), src)
 	}
@@ -491,58 +482,65 @@ func readFile[T any](path string, read func(io.Reader) ([]T, error)) ([]T, error
 	return read(f)
 }
 
-// stderrSink logs each quarantined line with its source file, line
-// number, and cause.
-func stderrSink(path string) func(dnscontext.Quarantined) {
-	return func(q dnscontext.Quarantined) {
-		log.Printf("quarantined %s:%d: %v", path, q.Line, q.Err)
-	}
-}
-
-// finishScan reports the scan outcome: the terminal error if the scan
-// aborted (budget trip or read error), otherwise a summary of what was
-// quarantined.
-func finishScan(path string, err error, st dnscontext.ScanStats) error {
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if st.Quarantined > 0 {
-		log.Printf("%s: quarantined %d of %d lines", path, st.Quarantined, st.Lines)
-	}
-	return nil
-}
-
-// scanDNS streams path through a quarantining DNSScanner, logging every
-// diverted line to stderr.
-func scanDNS(path string, policy dnscontext.ErrorPolicy, reg *dnscontext.MetricsRegistry) ([]dnscontext.DNSRecord, error) {
-	f, err := os.Open(path)
+// loadTSV reads the -dns/-conns logs whole through one ScannerSource
+// at the given parse width, under policy. Each quarantined line is
+// logged with its file and line number, and each file's tally after the
+// load; the records read and lines quarantined go, by stream, to reg's
+// trace counters.
+func loadTSV(dnsPath, connPath string, policy dnscontext.ErrorPolicy, workers int,
+	reg *dnscontext.MetricsRegistry) (*dnscontext.Dataset, error) {
+	df, err := os.Open(dnsPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	policy.Sink = stderrSink(path)
-	sc := dnscontext.NewDNSScanner(f, policy)
-	sc.Observe(reg)
-	var out []dnscontext.DNSRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	return out, finishScan(path, sc.Err(), sc.Stats())
-}
-
-// scanConns is scanDNS for connection summaries.
-func scanConns(path string, policy dnscontext.ErrorPolicy, reg *dnscontext.MetricsRegistry) ([]dnscontext.ConnRecord, error) {
-	f, err := os.Open(path)
+	defer df.Close()
+	cf, err := os.Open(connPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	policy.Sink = stderrSink(path)
-	sc := dnscontext.NewConnScanner(f, policy)
-	sc.Observe(reg)
-	var out []dnscontext.ConnRecord
-	for sc.Scan() {
-		out = append(out, sc.Record())
+	defer cf.Close()
+	type tsvLog struct {
+		path, stream string
+		quarantined  int
 	}
-	return out, finishScan(path, sc.Err(), sc.Stats())
+	logs := [2]tsvLog{{path: dnsPath, stream: "dns"}, {path: connPath, stream: "conn"}}
+	cur := &logs[0]
+	// Dataset reads the whole DNS log before its first read of the
+	// connection log, so that read marks the switch of stream.
+	conns := &firstRead{Reader: cf, fn: func() { cur = &logs[1] }}
+	policy.Sink = func(q dnscontext.Quarantined) {
+		cur.quarantined++
+		log.Printf("quarantined %s:%d: %v", cur.path, q.Line, q.Err)
+	}
+	src := dnscontext.NewScannerSource(df, conns, policy)
+	src.SetIngestWorkers(workers)
+	ds, err := src.Dataset()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", cur.path, err)
+	}
+	for i, n := range []int{len(ds.DNS), len(ds.Conns)} {
+		l := logs[i]
+		if l.quarantined > 0 {
+			log.Printf("%s: quarantined %d of %d lines", l.path, l.quarantined, n+l.quarantined)
+		}
+		reg.CounterVec("dnsctx_trace_records_total",
+			"Records read from the trace logs, by stream.", "stream").With(l.stream).Add(uint64(n))
+		reg.CounterVec("dnsctx_trace_quarantined_total",
+			"Malformed lines diverted to quarantine, by stream.", "stream").With(l.stream).Add(uint64(l.quarantined))
+	}
+	return ds, nil
+}
+
+// firstRead calls fn once, before the first Read of its reader.
+type firstRead struct {
+	io.Reader
+	fn func()
+}
+
+func (r *firstRead) Read(p []byte) (int, error) {
+	if r.fn != nil {
+		r.fn()
+		r.fn = nil
+	}
+	return r.Reader.Read(p)
 }

@@ -83,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 	rp := a.ResolverPerformance(eco.Profiles)
 
 	fmt.Printf("Resolver platform comparison (%d houses, %v, %d conns)\n\n",
@@ -177,7 +177,7 @@ func runTransportSweep(houses int, duration time.Duration, seed uint64, reg *dns
 			if err != nil {
 				log.Fatal(err)
 			}
-			a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+			a := dnscontext.NewAnalyzer().Analyze(ds)
 			fs := a.Failures()
 			var timeouts, resets uint64
 			for _, rec := range eco.Platforms {
@@ -219,7 +219,7 @@ func runLossSweep(houses int, duration time.Duration, seed uint64, reg *dnsconte
 			if err != nil {
 				log.Fatal(err)
 			}
-			a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+			a := dnscontext.NewAnalyzer().Analyze(ds)
 			fs := a.Failures()
 			fmt.Printf("%-7s %-7v %6.1f %6.1f %6.1f %6.1f %6.1f %9.1f %9.2f %9.2f %8.3f\n",
 				fmt.Sprintf("%.1f%%", 100*loss), outage,

@@ -29,9 +29,9 @@
 //
 // The analysis pipeline shards the trace by originating house and runs
 // on a bounded worker pool; the result is bit-identical for every worker
-// count. Every entry point is a thin wrapper over one context-aware
-// core path (Analyzer.AnalyzeContext); the legacy form
-// Analyze(ds, Options) remains for compatibility.
+// count. The Analyzer is the one entry point: Analyze is its
+// non-cancellable form of Analyzer.AnalyzeContext, and AnalyzeSource
+// and CollectShard its streaming forms.
 //
 // # Traces bigger than RAM
 //
@@ -323,9 +323,9 @@ func WithWorkers(n int) AnalyzerOption {
 // WithIngestWorkers bounds the goroutines AnalyzeSource uses to parse a
 // streaming TSV source (ScannerSource/DirSource): positive selects that
 // many, 0 (the default) inherits the Workers pool width, and negative
-// forces the serial scanner. Like WithWorkers it never changes results
-// — records, quarantine decisions, and errors replay in exact serial
-// order — only wall-clock time.
+// selects one. Like WithWorkers it never changes results — records,
+// quarantine decisions, and errors replay in exact line order — only
+// wall-clock time.
 func WithIngestWorkers(n int) AnalyzerOption {
 	return func(an *Analyzer) { an.opts.IngestWorkers = n }
 }
@@ -384,27 +384,6 @@ func (an *Analyzer) AnalyzeSource(ctx context.Context, src Source) (*Analysis, e
 // and MergeShards + Finalize reduce them to one Analysis.
 func (an *Analyzer) CollectShard(ctx context.Context, src Source) (*AnalysisShard, error) {
 	return core.CollectShard(ctx, src, an.opts)
-}
-
-// Analyze runs DN-Hunter pairing, the blocking heuristic, and the
-// N/LC/P/SC/R classification over ds: a thin non-cancellable wrapper
-// over the Analyzer core path.
-//
-// Deprecated: use NewAnalyzer(WithOptions(opts)).Analyze(ds), or
-// Analyzer.AnalyzeContext for cancellation. Kept for compatibility.
-func Analyze(ds *Dataset, opts Options) *Analysis {
-	return NewAnalyzer(WithOptions(opts)).Analyze(ds)
-}
-
-// AnalyzeContext is the package-level form of Analyzer.AnalyzeContext,
-// a thin wrapper for callers that assemble an Options struct directly.
-func AnalyzeContext(ctx context.Context, ds *Dataset, opts Options) (*Analysis, error) {
-	return NewAnalyzer(WithOptions(opts)).AnalyzeContext(ctx, ds)
-}
-
-// AnalyzeSource is the package-level form of Analyzer.AnalyzeSource.
-func AnalyzeSource(ctx context.Context, src Source, opts Options) (*Analysis, error) {
-	return NewAnalyzer(WithOptions(opts)).AnalyzeSource(ctx, src)
 }
 
 // Observability types: the internal/obs subsystem. A registry collects
@@ -474,40 +453,24 @@ func ReadDNS(r io.Reader) ([]DNSRecord, error)        { return trace.ReadDNS(r) 
 func WriteConns(w io.Writer, recs []ConnRecord) error { return trace.WriteConns(w, recs) }
 func ReadConns(r io.Reader) ([]ConnRecord, error)     { return trace.ReadConns(r) }
 
-// Streaming ingestion types: iterator-style TSV readers with quarantine.
-// Where ReadDNS/ReadConns abort an entire ingest on the first malformed
-// line, the scanners yield one record at a time in bounded memory and
-// take an ErrorPolicy: strict mode reproduces the readers bit for bit,
+// Quarantining ingestion types. Where ReadDNS/ReadConns abort an entire
+// ingest on the first malformed line, a ScannerSource or DirSource takes
+// an ErrorPolicy: strict mode reproduces the readers bit for bit,
 // quarantine mode diverts malformed lines (with their line number and
 // cause) to a sink and keeps going until an ErrorBudget trips.
+// ScannerSource.Dataset loads a log pair whole under such a policy.
 type (
-	// DNSScanner yields DNS transaction records one at a time.
-	DNSScanner = trace.DNSScanner
-	// ConnScanner yields connection summaries one at a time.
-	ConnScanner = trace.ConnScanner
-	// ErrorPolicy decides what a scanner does with malformed lines.
+	// ErrorPolicy decides what a reader does with malformed lines.
 	ErrorPolicy = trace.ErrorPolicy
-	// ErrorBudget bounds quarantining before a scan gives up.
+	// ErrorBudget bounds quarantining before a read gives up.
 	ErrorBudget = trace.ErrorBudget
 	// Quarantined is one diverted malformed line: where, what, and why.
 	Quarantined = trace.Quarantined
-	// ScanStats summarizes a scanner's progress.
-	ScanStats = trace.ScanStats
 )
 
-// ErrBudgetExceeded is matched (via errors.Is) by the error a scanner or
+// ErrBudgetExceeded is matched (via errors.Is) by the error a reader or
 // monitor reports when its quarantine budget trips.
 var ErrBudgetExceeded = trace.ErrBudgetExceeded
-
-// NewDNSScanner returns a streaming DNS-record reader over r.
-func NewDNSScanner(r io.Reader, policy ErrorPolicy) *DNSScanner {
-	return trace.NewDNSScanner(r, policy)
-}
-
-// NewConnScanner returns a streaming connection-summary reader over r.
-func NewConnScanner(r io.Reader, policy ErrorPolicy) *ConnScanner {
-	return trace.NewConnScanner(r, policy)
-}
 
 // StrictPolicy returns the fail-fast policy matching ReadDNS/ReadConns.
 func StrictPolicy() ErrorPolicy { return trace.Strict() }
@@ -531,8 +494,9 @@ type (
 	Source = trace.Source
 	// DatasetSource adapts an in-memory Dataset to the Source interface.
 	DatasetSource = trace.DatasetSource
-	// ScannerSource streams a Bro-style TSV reader pair through the
-	// quarantining scanners (one-shot: the readers are consumed).
+	// ScannerSource streams a Bro-style TSV reader pair under an
+	// ErrorPolicy, or loads it whole with Dataset (one-shot: the readers
+	// are consumed).
 	ScannerSource = trace.ScannerSource
 	// DirSource streams a directory of time-partitioned trace files
 	// (*.dns.tsv / *.conn.tsv, concatenated in name order).

@@ -46,11 +46,9 @@ func main() {
 	fmt.Printf("reconstructed:  %6d DNS transactions, %6d connections (decode errors: %d)\n\n",
 		len(reconstructed.DNS), len(reconstructed.Conns), mon.DecodeErrors)
 
-	opts := dnscontext.DefaultOptions()
-	opts.SCRMinSamples = 50
-
-	direct := dnscontext.Analyze(ds, opts)
-	viaWire := dnscontext.Analyze(reconstructed, opts)
+	an := dnscontext.NewAnalyzer(dnscontext.WithSCRMinSamples(50))
+	direct := an.Analyze(ds)
+	viaWire := an.Analyze(reconstructed)
 
 	fmt.Println("Table 2 classification, event path vs packet path:")
 	fmt.Printf("%-6s %12s %12s\n", "Class", "direct", "via wire")

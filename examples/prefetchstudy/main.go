@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 
 	pf := a.Prefetch()
 	fmt.Println("=== The cost of speculation (paper §5.2) ===")

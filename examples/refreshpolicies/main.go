@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := dnscontext.Analyze(ds, dnscontext.DefaultOptions())
+	a := dnscontext.NewAnalyzer().Analyze(ds)
 
 	rows := a.CompareRefreshPolicies(10*time.Second,
 		dnscontext.PolicyPopular(3, 30*time.Minute),

@@ -31,7 +31,7 @@ type Query struct {
 }
 
 // Source streams queries one at a time in bounded memory. The iterator
-// contract matches the trace scanners: Scan advances, Query returns the
+// contract is bufio.Scanner's: Scan advances, Query returns the
 // current item, Err reports what stopped the scan (nil at clean end).
 type Source interface {
 	Scan() bool

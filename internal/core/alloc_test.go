@@ -28,7 +28,7 @@ func allocAnalysis(t *testing.T) *Analysis {
 	}
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	return Analyze(ds, opts)
+	return mustAnalyze(t, ds, opts)
 }
 
 // TestPairAllocFree gates pairConn's no-candidate and single-candidate

@@ -22,7 +22,7 @@ func TestFigure1FirstUseSplit(t *testing.T) {
 			mkConn(houseA, webIP, 300*time.Second, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	f1 := a.Figure1()
 	if f1.Gaps.N() != 3 {
 		t.Fatalf("gaps %d", f1.Gaps.N())
@@ -48,7 +48,7 @@ func TestFigure2AndSignificance(t *testing.T) {
 			mkConn(houseA, webIP2, 20*time.Second+time.Millisecond, 100*time.Millisecond, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	f2 := a.Figure2()
 	if f2.LookupDelays.N() != 2 || f2.ContributionSC.N() != 1 || f2.ContributionR.N() != 1 {
 		t.Fatalf("figure2 sample counts wrong: %d/%d/%d",
@@ -84,7 +84,7 @@ func TestTTLViolationsAndGapMedians(t *testing.T) {
 			mkConn(houseA, webIP, 10*time.Minute, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	v := a.TTLViolations()
 	if v.PExpiredFraction != 1 || v.LCExpiredFraction != 1 {
 		t.Fatalf("expired fractions %v / %v", v.PExpiredFraction, v.LCExpiredFraction)
@@ -117,7 +117,7 @@ func TestPrefetchAccounting(t *testing.T) {
 			mkConn(houseA, webIP, 60*time.Second, time.Second, 443), // P
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	pf := a.Prefetch()
 	if pf.TotalLookups != 3 || pf.UnusedLookups != 2 {
 		t.Fatalf("lookups %d unused %d", pf.TotalLookups, pf.UnusedLookups)
@@ -139,7 +139,7 @@ func TestNoDNSBreakdown(t *testing.T) {
 			mkConn(houseA, peerIP, 3*time.Second, time.Second, 853), // DoT!
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	nd := a.NoDNS()
 	if nd.Total != 3 {
 		t.Fatalf("N total %d", nd.Total)
@@ -177,7 +177,7 @@ func TestWholeHouseCrossDevice(t *testing.T) {
 			mkConn(houseB, webIP2, 90*time.Second+60*time.Millisecond, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	wh := a.WholeHouse()
 	// Conn 1 (house A second lookup) and conn 3 (house B second lookup)
 	// are covered; conns 0 and 2 are first-ever and are not.
@@ -205,7 +205,7 @@ func TestWholeHouseExpiredNotCovered(t *testing.T) {
 			mkConn(houseA, webIP, 120*time.Second+5*time.Millisecond, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if wh := a.WholeHouse(); wh.Moved != 0 {
 		t.Fatalf("expired record counted as coverage: %+v", wh)
 	}
@@ -220,7 +220,7 @@ func TestRefreshSimulation(t *testing.T) {
 		ds.DNS = append(ds.DNS, mkDNS(houseA, resLoc, ts, 3*time.Millisecond, "a.com", webIP, 100*time.Second))
 		ds.Conns = append(ds.Conns, mkConn(houseA, webIP, ts+5*time.Millisecond, time.Second, 443))
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	rf := a.RefreshSimulation(10 * time.Second)
 	if rf.Conns != 10 {
 		t.Fatalf("conns %d", rf.Conns)
@@ -251,7 +251,7 @@ func TestRefreshTTLFloorNotRefreshed(t *testing.T) {
 		ds.DNS = append(ds.DNS, mkDNS(houseA, resLoc, ts, 3*time.Millisecond, "s.com", webIP, 5*time.Second))
 		ds.Conns = append(ds.Conns, mkConn(houseA, webIP, ts+5*time.Millisecond, time.Second, 443))
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	rf := a.RefreshSimulation(10 * time.Second)
 	if rf.RefreshAll.Lookups != rf.Standard.Lookups {
 		t.Fatalf("short-TTL name was refreshed: %d vs %d", rf.RefreshAll.Lookups, rf.Standard.Lookups)
@@ -271,7 +271,7 @@ func TestDatasetStats(t *testing.T) {
 				Resp: peerIP, RespPort: 123, OrigBytes: 48},
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	s := a.DatasetStats()
 	if s.DNSTransactions != 2 || s.Connections != 2 || s.Houses != 2 {
 		t.Fatalf("stats %+v", s)

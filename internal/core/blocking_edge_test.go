@@ -43,7 +43,7 @@ func TestBlockingGapEdgeCases(t *testing.T) {
 					mkConn(houseA, webIP, dnsTS+c.gap, time.Second, 443),
 				},
 			}
-			a := Analyze(ds, testOptions())
+			a := mustAnalyze(t, ds, testOptions())
 			pc := a.Paired[0]
 			if pc.Class != c.wantClass {
 				t.Fatalf("gap %v: class = %v, want %v", c.gap, pc.Class, c.wantClass)
@@ -83,7 +83,7 @@ func TestBlockingSCRBoundaryAtDerivedThreshold(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	a := Analyze(ds, opts)
+	a := mustAnalyze(t, ds, opts)
 	if th := a.Thresholds[resLoc.String()]; th != 5*time.Millisecond {
 		t.Fatalf("derived threshold %v, want 5ms", th)
 	}
@@ -110,7 +110,7 @@ func TestThresholdGateTinyTraces(t *testing.T) {
 	}
 
 	t.Run("below the 50-sample floor", func(t *testing.T) {
-		a := Analyze(mk(49, 20*time.Millisecond), DefaultOptions())
+		a := mustAnalyze(t, mk(49, 20*time.Millisecond), DefaultOptions())
 		if _, ok := a.Thresholds[resLoc.String()]; ok {
 			t.Fatal("resolver with 49 lookups got a derived threshold")
 		}
@@ -120,7 +120,7 @@ func TestThresholdGateTinyTraces(t *testing.T) {
 	})
 
 	t.Run("exactly at the floor", func(t *testing.T) {
-		a := Analyze(mk(50, 20*time.Millisecond), DefaultOptions())
+		a := mustAnalyze(t, mk(50, 20*time.Millisecond), DefaultOptions())
 		if th := a.Thresholds[resLoc.String()]; th != 50*time.Millisecond {
 			t.Fatalf("threshold %v, want 50ms (2.5x 20ms)", th)
 		}
@@ -129,7 +129,7 @@ func TestThresholdGateTinyTraces(t *testing.T) {
 	t.Run("sub-millisecond minimum clamps to the default", func(t *testing.T) {
 		// 2.5 x 200µs = 500µs, rounds up to 1 ms, then clamps to the 5 ms
 		// default: the derived threshold never undercuts it.
-		a := Analyze(mk(50, 200*time.Microsecond), DefaultOptions())
+		a := mustAnalyze(t, mk(50, 200*time.Microsecond), DefaultOptions())
 		if th := a.Thresholds[resLoc.String()]; th != 5*time.Millisecond {
 			t.Fatalf("threshold %v, want clamped 5ms", th)
 		}
@@ -137,7 +137,7 @@ func TestThresholdGateTinyTraces(t *testing.T) {
 
 	t.Run("rounding lands on whole milliseconds", func(t *testing.T) {
 		// 2.5 x 3ms = 7.5ms rounds up to 8ms.
-		a := Analyze(mk(50, 3*time.Millisecond), DefaultOptions())
+		a := mustAnalyze(t, mk(50, 3*time.Millisecond), DefaultOptions())
 		if th := a.Thresholds[resLoc.String()]; th != 8*time.Millisecond {
 			t.Fatalf("threshold %v, want 8ms", th)
 		}
@@ -146,7 +146,7 @@ func TestThresholdGateTinyTraces(t *testing.T) {
 	t.Run("SCRMinSamples caps the gate", func(t *testing.T) {
 		opts := DefaultOptions()
 		opts.SCRMinSamples = 10
-		a := Analyze(mk(10, 20*time.Millisecond), opts)
+		a := mustAnalyze(t, mk(10, 20*time.Millisecond), opts)
 		if th := a.Thresholds[resLoc.String()]; th != 50*time.Millisecond {
 			t.Fatalf("threshold %v, want 50ms with lowered gate", th)
 		}

@@ -11,23 +11,12 @@ import (
 	"dnscontext/internal/trace"
 )
 
-// Analyze runs the full pipeline over ds: DN-Hunter pairing, the blocking
-// heuristic, per-resolver SC/R thresholds, and Table 2 classification.
-// The dataset is time-sorted in place. It is the non-cancellable
-// compatibility form of AnalyzeContext.
-func Analyze(ds *trace.Dataset, opts Options) *Analysis {
-	a, err := AnalyzeContext(context.Background(), ds, opts)
-	if err != nil {
-		// Unreachable: the only failure mode is context cancellation and
-		// Background never cancels.
-		panic(err)
-	}
-	return a
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: the worker
-// pool checks ctx between shards. A cancelled run returns a nil Analysis
-// and an error wrapping the context's error — never a partial result.
+// AnalyzeContext runs the full pipeline over ds: DN-Hunter pairing, the
+// blocking heuristic, per-resolver SC/R thresholds, and Table 2
+// classification. The dataset is time-sorted in place. Cancellation is
+// cooperative: the worker pool checks ctx between shards. A cancelled
+// run returns a nil Analysis and an error wrapping the context's error —
+// never a partial result.
 //
 // The pipeline partitions connections by originating client (the paper's
 // pairing, §4, keys on the originator, so shards share no state), runs

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -50,6 +51,17 @@ func testOptions() Options {
 	return o
 }
 
+// mustAnalyze runs the in-memory pipeline without cancellation, failing
+// the test on any error.
+func mustAnalyze(t testing.TB, ds *trace.Dataset, opts Options) *Analysis {
+	t.Helper()
+	a, err := AnalyzeContext(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func classOf(t *testing.T, a *Analysis, connIdx int) Class {
 	t.Helper()
 	return a.Paired[connIdx].Class
@@ -59,7 +71,7 @@ func TestClassifyNoDNS(t *testing.T) {
 	ds := &trace.Dataset{
 		Conns: []trace.ConnRecord{mkConn(houseA, peerIP, time.Second, time.Second, 50000)},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassN {
 		t.Fatalf("class = %v, want N", got)
 	}
@@ -81,7 +93,7 @@ func TestClassifyBlockedSCvsR(t *testing.T) {
 			mkConn(houseA, webIP2, 20*time.Second+5*time.Millisecond, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassSC {
 		t.Fatalf("fast blocked conn = %v, want SC", got)
 	}
@@ -102,7 +114,7 @@ func TestClassifyLCvsP(t *testing.T) {
 			mkConn(houseA, webIP, 90*time.Second, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassP {
 		t.Fatalf("first late use = %v, want P", got)
 	}
@@ -127,7 +139,7 @@ func TestClassifyBlockedBoundary(t *testing.T) {
 			mkConn(houseA, webIP2, 50*time.Second+101*time.Millisecond, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassSC {
 		t.Fatalf("gap=100ms -> %v, want SC (blocked)", got)
 	}
@@ -146,7 +158,7 @@ func TestPairingPrefersMostRecentFresh(t *testing.T) {
 			mkConn(houseA, webIP, 2*time.Minute, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := ds.DNS[a.Paired[0].DNS].Query; got != "new.com" {
 		t.Fatalf("paired with %q, want most recent", got)
 	}
@@ -165,7 +177,7 @@ func TestPairingFallsBackToExpired(t *testing.T) {
 			mkConn(houseA, webIP, 10*time.Minute, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	pc := a.Paired[0]
 	if pc.DNS != 0 {
 		t.Fatal("expired record not used as fallback")
@@ -188,7 +200,7 @@ func TestPairingIsPerClient(t *testing.T) {
 			mkConn(houseA, webIP, 20*time.Second, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassN {
 		t.Fatalf("cross-house pairing happened: %v", got)
 	}
@@ -203,7 +215,7 @@ func TestPairingIgnoresFutureLookups(t *testing.T) {
 			mkConn(houseA, webIP, 30*time.Second, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := classOf(t, a, 0); got != ClassN {
 		t.Fatalf("future lookup paired: %v", got)
 	}
@@ -222,7 +234,7 @@ func TestRandomPairingPolicy(t *testing.T) {
 	}
 	opts := testOptions()
 	opts.Pairing = PairRandom
-	a := Analyze(ds, opts)
+	a := mustAnalyze(t, ds, opts)
 	seen := map[string]bool{}
 	for _, pc := range a.Paired {
 		seen[ds.DNS[pc.DNS].Query] = true
@@ -247,7 +259,7 @@ func TestDeriveThresholdsPerResolver(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 10
-	a := Analyze(ds, opts)
+	a := mustAnalyze(t, ds, opts)
 	if th := a.Thresholds[resLoc.String()]; th != 5*time.Millisecond {
 		t.Fatalf("local threshold %v, want 5ms", th)
 	}
@@ -271,7 +283,7 @@ func TestTable2SumsToOne(t *testing.T) {
 			mkConn(houseA, peerIP, time.Minute, time.Second, 50000),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	total := 0.0
 	for _, row := range a.Table2() {
 		total += row.Fraction
@@ -294,7 +306,7 @@ func TestClassString(t *testing.T) {
 }
 
 func TestEmptyDataset(t *testing.T) {
-	a := Analyze(&trace.Dataset{}, DefaultOptions())
+	a := mustAnalyze(t, &trace.Dataset{}, DefaultOptions())
 	if a.Fraction(ClassN) != 0 || a.BlockedFraction() != 0 || a.SharedCacheHitRate() != 0 {
 		t.Fatal("empty dataset fractions not zero")
 	}
@@ -319,7 +331,7 @@ func TestOptionsDefaultsFilled(t *testing.T) {
 			mkConn(houseA, webIP, 10*time.Second+5*time.Millisecond, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, Options{})
+	a := mustAnalyze(t, ds, Options{})
 	if a.Opts.BlockThreshold != DefaultOptions().BlockThreshold {
 		t.Fatalf("block threshold not defaulted: %v", a.Opts.BlockThreshold)
 	}

@@ -98,11 +98,11 @@ type Options struct {
 	// streaming source's TSV input (sources that support it: see
 	// trace.ScannerSource.SetIngestWorkers). Positive values select that
 	// many parse workers; zero (the default) inherits the resolved
-	// Workers pool width; negative forces the serial scanner. Like
-	// Workers, the setting never changes results — the chunked scan
-	// replays records, quarantine decisions, and errors in exact serial
-	// order — only wall-clock time. Ignored by Analyze/AnalyzeContext,
-	// which do not parse input.
+	// Workers pool width; negative selects one. Like Workers, the
+	// setting never changes results — the chunked scan replays records,
+	// quarantine decisions, and errors in exact line order — only
+	// wall-clock time. Ignored by AnalyzeContext, which does not parse
+	// input.
 	IngestWorkers int
 	// Metrics, when non-nil, receives analyzer counters (connections per
 	// class, shard count). Observation never feeds back into the pipeline,
@@ -122,8 +122,8 @@ type Options struct {
 	// in-memory pipeline runs. A nonzero budget never changes the
 	// analysis result, only whether it is computed in core or out of
 	// core — and whether the returned Analysis carries the dataset
-	// (see Analysis.Summary). Ignored by Analyze/AnalyzeContext, which
-	// by definition already hold the dataset.
+	// (see Analysis.Summary). Ignored by AnalyzeContext, which
+	// by definition already holds the dataset.
 	MemoryBudget int64
 	// SpillDir is where AnalyzeSource puts spill partitions when the
 	// memory budget trips. Empty means a fresh directory under the OS

@@ -27,14 +27,15 @@ func determinismTrace(t *testing.T) *trace.Dataset {
 	return ds
 }
 
-// analyzeCopy runs Analyze on a private copy of ds, so different worker
-// counts can't observe each other through the shared in-place sort.
-func analyzeCopy(ds *trace.Dataset, opts Options) *Analysis {
+// analyzeCopy runs the pipeline on a private copy of ds, so different
+// worker counts can't observe each other through the shared in-place
+// sort.
+func analyzeCopy(t testing.TB, ds *trace.Dataset, opts Options) *Analysis {
 	cp := &trace.Dataset{
 		DNS:   append([]trace.DNSRecord(nil), ds.DNS...),
 		Conns: append([]trace.ConnRecord(nil), ds.Conns...),
 	}
-	return Analyze(cp, opts)
+	return mustAnalyze(t, cp, opts)
 }
 
 // TestAnalyzeDeterministicAcrossWorkers is the ISSUE's determinism gate:
@@ -47,11 +48,11 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 		opts.Pairing = pairing
 		opts.SCRMinSamples = 50
 		opts.Workers = 1
-		ref := analyzeCopy(ds, opts)
+		ref := analyzeCopy(t, ds, opts)
 
 		for _, workers := range []int{2, 8} {
 			opts.Workers = workers
-			got := analyzeCopy(ds, opts)
+			got := analyzeCopy(t, ds, opts)
 
 			if !reflect.DeepEqual(got.Paired, ref.Paired) {
 				t.Fatalf("pairing=%v workers=%d: Paired differs from 1-worker run", pairing, workers)
@@ -85,7 +86,7 @@ func TestDownstreamDeterministicAcrossWorkers(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
 	opts.Workers = 1
-	ref := analyzeCopy(ds, opts)
+	ref := analyzeCopy(t, ds, opts)
 	refF1 := ref.Figure1()
 	refWH := ref.WholeHouse()
 	refGrid := ref.CompareRefreshPolicies(10*time.Second,
@@ -93,7 +94,7 @@ func TestDownstreamDeterministicAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{2, 8} {
 		opts.Workers = workers
-		got := analyzeCopy(ds, opts)
+		got := analyzeCopy(t, ds, opts)
 		f1 := got.Figure1()
 		if !reflect.DeepEqual(f1.Gaps.Values(), refF1.Gaps.Values()) ||
 			f1.FirstUseWithinKnee != refF1.FirstUseWithinKnee ||
@@ -147,7 +148,7 @@ func TestFaultedAnalysisDeterministicAcrossWorkers(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
 	opts.Workers = 1
-	ref := analyzeCopy(ds, opts)
+	ref := analyzeCopy(t, ds, opts)
 	refFS := ref.Failures()
 	if !refFS.HasFailures() {
 		t.Fatal("faulted trace produced no retries/servfails; fault paths untested")
@@ -155,7 +156,7 @@ func TestFaultedAnalysisDeterministicAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{2, 8} {
 		opts.Workers = workers
-		got := analyzeCopy(ds, opts)
+		got := analyzeCopy(t, ds, opts)
 		if !reflect.DeepEqual(got.Paired, ref.Paired) {
 			t.Fatalf("workers=%d: Paired differs under faults", workers)
 		}
@@ -210,7 +211,7 @@ func TestAnalyzeContextCompletesUncancelled(t *testing.T) {
 	if err != nil || a == nil {
 		t.Fatalf("AnalyzeContext = (%v, %v)", a, err)
 	}
-	if got := Analyze(ds, DefaultOptions()); !reflect.DeepEqual(got.Paired, a.Paired) {
+	if got := mustAnalyze(t, ds, DefaultOptions()); !reflect.DeepEqual(got.Paired, a.Paired) {
 		t.Fatal("Analyze and AnalyzeContext disagree")
 	}
 }
@@ -219,7 +220,7 @@ func TestAnalyzeContextCompletesUncancelled(t *testing.T) {
 // per-connection classifications they replaced.
 func TestCountMatchesScan(t *testing.T) {
 	ds := determinismTrace(t)
-	a := Analyze(ds, DefaultOptions())
+	a := mustAnalyze(t, ds, DefaultOptions())
 	var scan [numClasses]int
 	for i := range a.Paired {
 		scan[a.Paired[i].Class]++

@@ -35,7 +35,7 @@ func analysisForPaperBands(t *testing.T) *Analysis {
 		}
 		paperAnalysis.ds = ds
 		paperAnalysis.profiles = eco.Profiles
-		paperAnalysis.a = Analyze(ds, DefaultOptions())
+		paperAnalysis.a = mustAnalyze(t, ds, DefaultOptions())
 	}
 	return paperAnalysis.a
 }
@@ -236,7 +236,7 @@ func TestAblationBlockingThreshold(t *testing.T) {
 		100 * time.Millisecond, 200 * time.Millisecond} {
 		opts := DefaultOptions()
 		opts.BlockThreshold = th
-		a := Analyze(paperAnalysis.ds, opts)
+		a := mustAnalyze(t, paperAnalysis.ds, opts)
 		free := a.Fraction(ClassN) + a.Fraction(ClassLC) + a.Fraction(ClassP)
 		if free < 0.45 || free > 0.80 {
 			t.Errorf("threshold %v: non-blocking fraction %.3f escapes the paper's regime", th, free)
@@ -253,7 +253,7 @@ func TestAblationPairingPolicy(t *testing.T) {
 	a := analysisForPaperBands(t)
 	opts := DefaultOptions()
 	opts.Pairing = PairRandom
-	b := Analyze(paperAnalysis.ds, opts)
+	b := mustAnalyze(t, paperAnalysis.ds, opts)
 	for c := ClassN; c < numClasses; c++ {
 		if diff := a.Fraction(c) - b.Fraction(c); diff < -0.05 || diff > 0.05 {
 			t.Errorf("class %v shifts by %.3f under random pairing", c, diff)
@@ -298,7 +298,7 @@ func TestReportDeterministic(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.SCRMinSamples = 50
-		a := Analyze(ds, opts)
+		a := mustAnalyze(t, ds, opts)
 		var buf bytes.Buffer
 		if err := a.Report(&buf, eco.Profiles); err != nil {
 			t.Fatal(err)

@@ -75,7 +75,7 @@ func TestGoldenOutputsBitIdentical(t *testing.T) {
 			opts.Pairing = pairing
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
-			a := analyzeCopy(ds, opts)
+			a := analyzeCopy(t, ds, opts)
 			report, paired, shard := hashAnalysis(t, a, eco.Profiles)
 			if report != want.report {
 				t.Errorf("pairing=%v workers=%d: report hash %#016x, want %#016x",

@@ -17,7 +17,8 @@ import (
 // the chunked-ingest + prep-overlap path: AnalyzeSource over a TSV
 // ScannerSource must produce bit-identical golden hashes and Digest at
 // every (Workers, IngestWorkers) combination, under both pairing
-// policies, with parallel ingest on and off. The reference is one
+// policies, at one parse worker (IngestWorkers -1) and several. The
+// reference is one
 // serial in-memory analysis of the same parsed records (the TSV format
 // rounds timestamps to microseconds, so the reference must come from
 // the roundtripped dataset, not the generator's).
@@ -53,7 +54,7 @@ func TestParallelIngestGoldenParity(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Pairing = pairing
 		opts.SCRMinSamples = 50
-		ref := analyzeCopy(&trace.Dataset{DNS: parsedDNS, Conns: parsedConns}, opts)
+		ref := analyzeCopy(t, &trace.Dataset{DNS: parsedDNS, Conns: parsedConns}, opts)
 		wantReport, wantPaired, wantShard := hashAnalysis(t, ref, eco.Profiles)
 
 		for _, workers := range []int{1, 2, 8} {

@@ -22,7 +22,7 @@ func TestPerHouseSummaries(t *testing.T) {
 			mkConn(houseB, peerIP, time.Minute, time.Second, 50000),                    // N
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	houses := a.PerHouse(resolver.DefaultProfiles())
 	if len(houses) != 2 {
 		t.Fatalf("houses %d", len(houses))

@@ -21,7 +21,7 @@ func periodicUseDataset(name string, ttl, period time.Duration, n int) *trace.Da
 
 func TestPolicyNeverMatchesStandard(t *testing.T) {
 	ds := periodicUseDataset("a.com", 100*time.Second, time.Minute, 10)
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	rf := a.RefreshSimulation(10 * time.Second)
 	std := a.SimulateCachePolicy(10*time.Second, PolicyNever)
 	if std != rf.Standard {
@@ -35,7 +35,7 @@ func TestPolicyNeverMatchesStandard(t *testing.T) {
 
 func TestPolicyRefreshAllMatchesTable3Column(t *testing.T) {
 	ds := periodicUseDataset("a.com", 100*time.Second, time.Minute, 10)
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	all := a.SimulateCachePolicy(10*time.Second, PolicyRefreshAll)
 	if all.Misses != 1 || all.Hits != 9 {
 		t.Fatalf("refresh-all hits/misses %d/%d", all.Hits, all.Misses)
@@ -62,7 +62,7 @@ func TestPolicyIdleBoundedStopsRefreshing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		addUse(4*time.Hour + time.Duration(i)*30*time.Second) // burst 2
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 
 	bounded := a.SimulateCachePolicy(10*time.Second, PolicyIdleBounded(5*time.Minute))
 	all := a.SimulateCachePolicy(10*time.Second, PolicyRefreshAll)
@@ -89,7 +89,7 @@ func TestPolicyMinUsesGatesRefresh(t *testing.T) {
 	ds := periodicUseDataset("once.com", 30*time.Second, time.Hour, 1)
 	// Extend the window so there is tail time to (wrongly) refresh in.
 	ds.Conns = append(ds.Conns, mkConn(houseA, peerIP, 6*time.Hour, time.Second, 50000))
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 
 	gated := a.SimulateCachePolicy(10*time.Second, PolicyPopular(3, 0))
 	if gated.Lookups != 1 {
@@ -103,7 +103,7 @@ func TestPolicyMinUsesGatesRefresh(t *testing.T) {
 
 func TestPolicyFloorRespected(t *testing.T) {
 	ds := periodicUseDataset("short.com", 5*time.Second, time.Minute, 5)
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	for _, pol := range []RefreshPolicy{PolicyRefreshAll, PolicyIdleBounded(time.Hour)} {
 		got := a.SimulateCachePolicy(10*time.Second, pol)
 		std := a.SimulateCachePolicy(10*time.Second, PolicyNever)
@@ -115,7 +115,7 @@ func TestPolicyFloorRespected(t *testing.T) {
 
 func TestCompareRefreshPoliciesBracketsAndOrders(t *testing.T) {
 	ds := periodicUseDataset("a.com", 100*time.Second, time.Minute, 20)
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	rows := a.CompareRefreshPolicies(10*time.Second,
 		PolicyPopular(2, 10*time.Minute),
 		PolicyIdleBounded(30*time.Minute),

@@ -44,7 +44,7 @@ func TestReportDeterministicUnderConcurrency(t *testing.T) {
 			opts := DefaultOptions()
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
-			a := analyzeCopy(ds, opts)
+			a := analyzeCopy(t, ds, opts)
 			label := fmt.Sprintf("GOMAXPROCS=%d workers=%d", procs, workers)
 
 			var wg sync.WaitGroup
@@ -87,7 +87,7 @@ func BenchmarkReport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := Analyze(ds, DefaultOptions())
+	a := mustAnalyze(b, ds, DefaultOptions())
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()

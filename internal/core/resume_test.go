@@ -40,7 +40,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 		opts := DefaultOptions()
 		opts.SCRMinSamples = 50
 		opts.Workers = workers
-		ref := analyzeCopy(ds, opts)
+		ref := analyzeCopy(t, ds, opts)
 		wantReport := reportBytes(t, ref)
 
 		path := filepath.Join(t.TempDir(), "analysis.ckpt")
@@ -101,7 +101,7 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
 	opts.Workers = 1
-	ref := analyzeCopy(ds, opts)
+	ref := analyzeCopy(t, ds, opts)
 
 	path := filepath.Join(t.TempDir(), "analysis.ckpt")
 	// Write a partial checkpoint at Workers=1.

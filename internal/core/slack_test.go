@@ -25,7 +25,7 @@ func TestSlackBasics(t *testing.T) {
 			mkConn(houseA, webIP, 100*time.Second, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	s := a.Slack()
 	if s.TotalLookups != 2 {
 		t.Fatalf("slack population %d, want 2 used lookups", s.TotalLookups)
@@ -55,7 +55,7 @@ func TestTolerableExtraDelay(t *testing.T) {
 			mkConn(houseA, webIP, 11*time.Second+time.Minute, time.Second, 443),
 		},
 	}
-	a := Analyze(ds, testOptions())
+	a := mustAnalyze(t, ds, testOptions())
 	if got := a.TolerableExtraDelay(time.Second); got < 0.33 || got > 0.34 {
 		t.Fatalf("newly blocked at +1s = %v, want 1/3", got)
 	}

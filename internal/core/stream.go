@@ -95,21 +95,25 @@ func CollectShard(ctx context.Context, src trace.Source, opts Options) (*Analysi
 // parsing out over several goroutines (trace.ScannerSource, DirSource).
 type ingestTunable interface{ SetIngestWorkers(int) }
 
-// applyIngestWorkers resolves Options.IngestWorkers — positive: that
-// many; zero: inherit the Workers pool width; negative: serial — and
-// applies it to sources that support parallel parsing.
+// applyIngestWorkers applies the resolved IngestWorkers to sources that
+// support parallel parsing.
 func applyIngestWorkers(src trace.Source, opts Options) {
-	tun, ok := src.(ingestTunable)
-	if !ok {
-		return
+	if tun, ok := src.(ingestTunable); ok {
+		tun.SetIngestWorkers(IngestWorkers(opts))
 	}
+}
+
+// IngestWorkers resolves Options.IngestWorkers to a parse width:
+// positive, that many; zero, the resolved Workers pool width; negative,
+// one. A resident load of TSV input resolves its width the same way.
+func IngestWorkers(opts Options) int {
 	switch {
 	case opts.IngestWorkers > 0:
-		tun.SetIngestWorkers(opts.IngestWorkers)
+		return opts.IngestWorkers
 	case opts.IngestWorkers < 0:
-		tun.SetIngestWorkers(1)
+		return 1
 	default:
-		tun.SetIngestWorkers(parallel.Workers(opts.Workers))
+		return parallel.Workers(opts.Workers)
 	}
 }
 

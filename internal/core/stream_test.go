@@ -38,7 +38,7 @@ func TestStreamParityWithInMemory(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Pairing = pairing
 		opts.SCRMinSamples = 50
-		ref := analyzeCopy(ds, opts)
+		ref := analyzeCopy(t, ds, opts)
 		wantSummary := summaryBytes(t, ref)
 
 		for _, workers := range []int{1, 2, 8} {
@@ -90,7 +90,7 @@ func TestStreamResidentPathMatchesInMemory(t *testing.T) {
 	ds := determinismTrace(t)
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	ref := analyzeCopy(ds, opts)
+	ref := analyzeCopy(t, ds, opts)
 
 	src := trace.NewDatasetSource(&trace.Dataset{
 		DNS:   append([]trace.DNSRecord(nil), ds.DNS...),
@@ -189,7 +189,7 @@ func TestMultiProcessMergeMatchesInMemory(t *testing.T) {
 	ds := determinismTrace(t)
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	ref := analyzeCopy(ds, opts)
+	ref := analyzeCopy(t, ds, opts)
 
 	parts := splitByClient(ds, 3)
 	shards := make([]*AnalysisShard, len(parts))

@@ -38,7 +38,7 @@ func TestExplicitUDPTransportMatchesGolden(t *testing.T) {
 			opts.Pairing = pairing
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
-			a := analyzeCopy(ds, opts)
+			a := analyzeCopy(t, ds, opts)
 			report, paired, shard := hashAnalysis(t, a, eco.Profiles)
 			if report != want.report || paired != want.paired || shard != want.shard {
 				t.Errorf("pairing=%v workers=%d: explicit udp transport broke golden parity: %#016x/%#016x/%#016x",
@@ -78,7 +78,7 @@ func TestTransportMatrixDigestParity(t *testing.T) {
 			opts := DefaultOptions()
 			opts.SCRMinSamples = 50
 			opts.Workers = workers
-			a := analyzeCopy(ds, opts)
+			a := analyzeCopy(t, ds, opts)
 			report, paired, shard := hashAnalysis(t, a, eco.Profiles)
 			if i == 0 {
 				base = [3]uint64{report, paired, shard}
@@ -104,7 +104,7 @@ func TestTransportWhatIfDeltas(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SCRMinSamples = 50
-	a := Analyze(ds, opts)
+	a := mustAnalyze(t, ds, opts)
 
 	rows := a.TransportWhatIf(eco.Profiles, DefaultTransportScenarios())
 	if rows == nil {

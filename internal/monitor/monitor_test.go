@@ -227,14 +227,23 @@ func TestForgedQueryNameDropped(t *testing.T) {
 	if err := trace.WriteDNS(&buf, out.DNS); err != nil {
 		t.Fatal(err)
 	}
-	sc := trace.NewDNSScanner(&buf, trace.QuarantineAll())
-	for sc.Scan() {
-		if c := sc.Record().Client; c != houseA {
-			t.Fatalf("log holds a record for %v", c)
+	for _, workers := range []int{1, 2} {
+		var quar []trace.Quarantined
+		p := trace.QuarantineAll()
+		p.Sink = func(q trace.Quarantined) { quar = append(quar, q) }
+		src := trace.NewScannerSource(bytes.NewReader(buf.Bytes()), nil, p)
+		src.SetIngestWorkers(workers)
+		if err := src.StreamDNS(func(d *trace.DNSRecord) error {
+			if d.Client != houseA {
+				t.Fatalf("workers=%d: log holds a record for %v", workers, d.Client)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(sc.Quarantined()) != 0 {
-		t.Fatalf("log has malformed lines: %+v", sc.Quarantined())
+		if len(quar) != 0 {
+			t.Fatalf("workers=%d: log has malformed lines: %+v", workers, quar)
+		}
 	}
 }
 

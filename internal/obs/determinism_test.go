@@ -46,7 +46,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 		opts.Workers = v.workers
 		opts.Metrics = reg
 		opts.Trace = tr
-		a := dnscontext.Analyze(ds, opts)
+		a := dnscontext.NewAnalyzer(dnscontext.WithOptions(opts)).Analyze(ds)
 
 		var rep bytes.Buffer
 		if err := a.Report(&rep, eco.Profiles); err != nil {

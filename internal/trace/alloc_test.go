@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Allocation budgets (ISSUE 5): the zero-copy scanner path must stay
+// Allocation budgets: the zero-copy streaming read must stay
 // allocation-free per line in the steady state — named strings come
 // from the intern table, addresses from the parse cache, answers from
 // the shared arena — so a regression back to per-line garbage fails
@@ -39,59 +39,50 @@ func allocConnTSV(lines int) string {
 	return sb.String()
 }
 
-// scanAllocBudget is the gate both scanner budgets share: a scan may
-// pay a fixed setup cost (bufio buffer, parse state, intern table, the
-// first arena block — independent of input length) plus at most 0.01
-// allocations per line. A regression to even one allocation per line
-// overshoots the budget by two orders of magnitude.
-func scanAllocBudget(t *testing.T, stream string, lines int, perRun float64) {
+// scanAllocBudget gates one stream of a ScannerSource at ingest widths
+// 1 and 2: a scan may pay a fixed setup cost (goroutines, chunk
+// buffers, parse states, intern tables, the first arena blocks —
+// independent of input length) plus at most 0.01 allocations per line.
+// A regression to even one allocation per line overshoots the budget by
+// two orders of magnitude.
+func scanAllocBudget(t *testing.T, stream string, lines int, scan func(workers int) (int, error)) {
 	t.Helper()
 	budget := 200 + 0.01*float64(lines)
-	if perRun > budget {
-		t.Fatalf("%s scanner allocates %.0f allocs per %d-line scan; budget is %.0f (fixed setup + 0.01/line)",
-			stream, perRun, lines, budget)
+	for _, workers := range []int{1, 2} {
+		perRun := testing.AllocsPerRun(5, func() {
+			if n, err := scan(workers); err != nil || n != lines {
+				t.Fatalf("scan: n=%d err=%v", n, err)
+			}
+		})
+		if perRun > budget {
+			t.Fatalf("%s stream at %d workers allocates %.0f allocs per %d-line scan; budget is %.0f (fixed setup + 0.01/line)",
+				stream, workers, perRun, lines, budget)
+		}
 	}
 }
 
-// TestScannerAllocsPerLine gates the per-line DNS scanner cost.
+// TestScannerAllocsPerLine gates the per-line DNS stream cost.
 func TestScannerAllocsPerLine(t *testing.T) {
 	const lines = 8000
 	input := allocTSV(lines)
-	// Warm check: the input must parse cleanly or the budget is vacuous.
-	if recs, err := ReadDNS(strings.NewReader(input)); err != nil || len(recs) != lines {
-		t.Fatalf("fixture: %d records, err %v", len(recs), err)
-	}
-	perRun := testing.AllocsPerRun(5, func() {
-		sc := NewDNSScanner(strings.NewReader(input), Strict())
-		n := 0
-		for sc.Scan() {
-			n++
-		}
-		if sc.Err() != nil || n != lines {
-			t.Fatalf("scan: n=%d err=%v", n, sc.Err())
-		}
+	scanAllocBudget(t, "dns", lines, func(workers int) (n int, err error) {
+		src := NewScannerSource(strings.NewReader(input), nil, Strict())
+		src.SetIngestWorkers(workers)
+		err = src.StreamDNS(func(*DNSRecord) error { n++; return nil })
+		return n, err
 	})
-	scanAllocBudget(t, "dns", lines, perRun)
 }
 
 // TestConnScannerAllocsPerLine is the same gate for the conn stream.
 func TestConnScannerAllocsPerLine(t *testing.T) {
 	const lines = 8000
 	input := allocConnTSV(lines)
-	if recs, err := ReadConns(strings.NewReader(input)); err != nil || len(recs) != lines {
-		t.Fatalf("fixture: %d records, err %v", len(recs), err)
-	}
-	perRun := testing.AllocsPerRun(5, func() {
-		sc := NewConnScanner(strings.NewReader(input), Strict())
-		n := 0
-		for sc.Scan() {
-			n++
-		}
-		if sc.Err() != nil || n != lines {
-			t.Fatalf("scan: n=%d err=%v", n, sc.Err())
-		}
+	scanAllocBudget(t, "conn", lines, func(workers int) (n int, err error) {
+		src := NewScannerSource(nil, strings.NewReader(input), Strict())
+		src.SetIngestWorkers(workers)
+		err = src.StreamConns(func(*ConnRecord) error { n++; return nil })
+		return n, err
 	})
-	scanAllocBudget(t, "conn", lines, perRun)
 }
 
 // TestReadAllocsGrowWithChunksNotRecords gates the slice readers: on

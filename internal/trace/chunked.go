@@ -4,18 +4,18 @@ package trace
 // into record-aligned (newline-aligned) chunks, parses the chunks
 // concurrently — each worker with its own parseState, so the zero-copy
 // field splitting and per-worker name interning need no locks — and
-// merges the parsed chunks back in input order. It is the body of the
-// slice readers (ReadDNS/ReadConns, on GOMAXPROCS workers) and of a
-// ScannerSource with more than one ingest worker; the serial scanners
-// remain the one-record-at-a-time pull API.
+// merges the parsed chunks back in input order. It is the only TSV
+// reader: the slice readers (ReadDNS/ReadConns, on GOMAXPROCS workers),
+// ScannerSource and DirSource (at their ingest width, one worker
+// included) and ScannerSource.Dataset all run on it.
 //
 // Determinism is the contract: the record sequence, every quarantine
 // decision, the error-budget trip point, and the strict-mode abort all
-// replay in serial line order at the merge, so a chunked scan is
-// indistinguishable from a serial one at any worker count. A parsed
-// chunk carries its records and, separately, only its failed lines with
-// their record position, so the merge hands records over a chunk slice
-// at a time and replays the error policy at each failure.
+// replay in line order at the merge, so a chunked scan is
+// indistinguishable from a one-line-at-a-time scan at any worker count.
+// A parsed chunk carries its records and, separately, only its failed
+// lines with their record position, so the merge hands records over a
+// chunk slice at a time and replays the error policy at each failure.
 
 import (
 	"bufio"
@@ -32,9 +32,9 @@ const (
 	// worker: large enough to amortize the hand-off, small enough that
 	// a few chunks per worker stay in flight.
 	ingestChunkBytes = 1 << 20
-	// maxIngestLine mirrors the serial scanners' bufio token cap
-	// (sc.Buffer(..., 1<<22)): a line this long fails the scan with
-	// bufio.ErrTooLong on either path.
+	// maxIngestLine is the longest line the reader accepts, as a
+	// bufio.Scanner with a 4 MiB token cap would: a line this long fails
+	// the scan with bufio.ErrTooLong.
 	maxIngestLine = 1 << 22
 	// chunkSlack is the room a chunk buffer keeps past the read for the
 	// partial line carried over from the previous read, so a recycled
@@ -82,15 +82,18 @@ func fill(r io.Reader, b []byte) (int, error) {
 // produceIngestChunks reads r into newline-aligned chunks, drawing
 // buffers from free before allocating. A line that accumulates
 // maxIngestLine bytes without a newline fails with bufio.ErrTooLong,
-// exactly where the serial scanner's token cap would; a mid-stream read
-// error still emits every buffered line first — the serial scanner
-// yields those (including a partial final line) before reporting the
-// error, and the ordered merge preserves that prefix.
+// exactly where a bufio.Scanner's token cap would; a mid-stream read
+// error still emits every buffered line first — a bufio.Scanner yields
+// those (including a partial final line) before reporting the error,
+// and the ordered merge preserves that prefix.
 func produceIngestChunks(r io.Reader, chunkBytes int, free freeList[[]byte], emit func(ingestChunk) error) error {
 	startLine := 1
 	var carry []byte // partial trailing line of the previous read
 	for {
-		need := len(carry) + chunkBytes
+		// A line longer than a chunk doubles the read instead of growing
+		// it by chunkBytes, so it costs O(log) reads and copies, not
+		// O(length/chunkBytes).
+		need := len(carry) + max(chunkBytes, len(carry))
 		buf, _ := free.get()
 		if cap(buf) < need {
 			buf = make([]byte, need, need+chunkSlack)
@@ -176,9 +179,8 @@ type parsedChunk[R any] struct {
 // parseChunkLines splits one chunk into lines — mirroring
 // bufio.ScanLines: '\n' terminators, one trailing '\r' dropped, a final
 // unterminated line kept — and parses every data line. Comment ('#')
-// and blank lines advance the line counter and produce nothing, as the
-// serial scanners do. recs is sized from the chunk's line count, so it
-// never grows.
+// and blank lines advance the line counter and produce nothing. recs is
+// sized from the chunk's line count, so it never grows.
 func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (R, error)) parsedChunk[R] {
 	pc := parsedChunk[R]{recs: make([]R, 0, bytes.Count(c.data, newline)+1)}
 	line := c.startLine - 1
@@ -207,14 +209,14 @@ func parseChunkLines[R any](c ingestChunk, parse func(lineNo int, line []byte) (
 	return pc
 }
 
-// scanChunked is the shared chunked-scan driver: produce chunks, parse
-// them on `workers` goroutines (0 means GOMAXPROCS; each draws a
-// recycled parseState), and replay the outcomes in input order — handing each
-// run of records between failures to yield as one slice, and applying
-// the error policy and budget at each failure with the same counters,
-// trip points, and error values as the serial scanner core. The slices
-// yield receives are the chunks' own, never reused. parseFailed reports
-// that err is a strict-mode parse error rather than a read error.
+// scanChunked is the chunked-scan driver: produce chunks, parse them on
+// `workers` goroutines (0 means GOMAXPROCS, negative one; each draws a
+// recycled parseState), and replay the outcomes in input order —
+// handing each run of records between failures to yield as one slice,
+// and applying the error policy and budget at each failure in line
+// order. The slices yield receives are the chunks' own, never reused.
+// parseFailed reports that err is a strict-mode parse error rather than
+// a read error or a budget trip.
 //
 // Chunk buffers are recycled once parsed: a parsed record holds no view
 // into its line (names are interned copies, quarantined text and error
@@ -224,6 +226,9 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 	yield func([]R) error) (parseFailed bool, err error) {
 
 	w := parallel.Workers(workers)
+	if workers < 0 {
+		w = 1
+	}
 	ahead := 2 * w
 	// free holds parsed chunks' buffers for the producer to reuse, and
 	// states the workers' parse states; at most ahead chunks are in
@@ -284,15 +289,16 @@ func scanChunked[R any](r io.Reader, workers, chunkBytes int, policy ErrorPolicy
 	return parseFailed, err
 }
 
-// readChunked is the body of the slice readers: a strict chunked scan
-// on GOMAXPROCS workers that keeps each chunk's record slice and copies
-// them once into an exact-length result. Like the serial scanner, a
-// parse failure returns nil and the parse error, and a read error
-// returns the records before it and the read error.
-func readChunked[R any](r io.Reader, parse func(lineNo int, line []byte, st *parseState) (R, error)) ([]R, error) {
+// readChunked reads r whole: a chunked scan on `workers` goroutines
+// (as scanChunked counts them) under policy that keeps each chunk's
+// record slice and copies them once into an exact-length result. A
+// strict parse failure returns nil and the parse error; a read error or
+// a budget trip returns the records before it and the error.
+func readChunked[R any](r io.Reader, workers int, policy ErrorPolicy,
+	parse func(lineNo int, line []byte, st *parseState) (R, error)) ([]R, error) {
 	var parts [][]R
 	n := 0
-	parseFailed, err := scanChunked(r, 0, ingestChunkBytes, Strict(), parse, func(recs []R) error {
+	parseFailed, err := scanChunked(r, workers, ingestChunkBytes, policy, parse, func(recs []R) error {
 		parts = append(parts, recs)
 		n += len(recs)
 		return nil

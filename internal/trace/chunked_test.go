@@ -1,11 +1,11 @@
 package trace
 
-// Chunked-ingest parity and edge cases (ISSUE 10). The chunked scan's
-// contract is bit-identical behavior to the serial scanners at every
-// worker count and chunk size: same records in the same order, same
-// quarantine decisions with the same line numbers, same budget trip
-// points, same errors. These tests drive the internal entry points with
-// tiny chunk sizes so splits land inside and between records.
+// Chunked-ingest parity and edge cases. The chunked scan's contract is
+// bit-identical behavior to the serial reference (reference_test.go) at
+// every worker count and chunk size: same records in the same order,
+// same quarantine decisions with the same line numbers, same budget
+// trip points, same errors. These tests drive the internal entry points
+// with tiny chunk sizes so splits land inside and between records.
 
 import (
 	"bytes"
@@ -22,7 +22,7 @@ import (
 // chunkTestDNS builds n parseable DNS records with a mix of repeated
 // and distinct query names (so symbol re-canonicalization is exercised)
 // and renders them as TSV.
-func chunkTestDNS(t *testing.T, n int) (string, []DNSRecord) {
+func chunkTestDNS(t testing.TB, n int) (string, []DNSRecord) {
 	t.Helper()
 	recs := make([]DNSRecord, n)
 	for i := range recs {
@@ -47,38 +47,34 @@ func chunkTestDNS(t *testing.T, n int) (string, []DNSRecord) {
 	return buf.String(), recs
 }
 
-// collectDNSSerial runs the serial scanner and returns its records,
+// collectDNSSerial runs the serial reference and returns its records,
 // quarantines, and terminal error.
 func collectDNSSerial(input string, policy ErrorPolicy) ([]DNSRecord, []Quarantined, error) {
-	var quar []Quarantined
-	if policy.Quarantine && policy.Sink == nil {
-		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
-	}
-	sc := NewDNSScanner(strings.NewReader(input), policy)
-	var recs []DNSRecord
-	for sc.Scan() {
-		recs = append(recs, sc.Record())
-	}
-	return recs, quar, sc.Err()
+	return refScan(strings.NewReader(input), policy, parseDNSLineBytes)
 }
 
-// collectDNSChunked runs the chunked scanner at the given worker count
+// collectChunked runs the chunked scanner at the given worker count
 // and chunk size.
-func collectDNSChunked(input string, workers, chunkBytes int, policy ErrorPolicy) ([]DNSRecord, []Quarantined, error) {
+func collectChunked[R any](input string, workers, chunkBytes int, policy ErrorPolicy,
+	parse func(int, []byte, *parseState) (R, error)) ([]R, []Quarantined, error) {
 	var quar []Quarantined
 	if policy.Quarantine && policy.Sink == nil {
 		policy.Sink = func(q Quarantined) { quar = append(quar, q) }
 	}
-	var recs []DNSRecord
-	_, err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, parseDNSLineBytes,
-		func(batch []DNSRecord) error { recs = append(recs, batch...); return nil })
+	var recs []R
+	_, err := scanChunked(strings.NewReader(input), workers, chunkBytes, policy, parse,
+		func(batch []R) error { recs = append(recs, batch...); return nil })
 	return recs, quar, err
 }
 
+func collectDNSChunked(input string, workers, chunkBytes int, policy ErrorPolicy) ([]DNSRecord, []Quarantined, error) {
+	return collectChunked(input, workers, chunkBytes, policy, parseDNSLineBytes)
+}
+
 // assertScanParity compares a chunked run against the serial reference:
-// records, quarantine line numbers and texts, and error values.
-func assertScanParity(t *testing.T, label string,
-	wantRecs, gotRecs []DNSRecord, wantQuar, gotQuar []Quarantined, wantErr, gotErr error) {
+// records, quarantine line numbers, texts and causes, and error values.
+func assertScanParity[R any](t *testing.T, label string,
+	wantRecs, gotRecs []R, wantQuar, gotQuar []Quarantined, wantErr, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: error mismatch: serial=%v chunked=%v", label, wantErr, gotErr)
@@ -187,7 +183,7 @@ func TestChunkedQuarantineSpanningSplit(t *testing.T) {
 
 // TestChunkedStrictAbortParity: in strict mode the chunked scan must
 // yield exactly the records before the corrupt line, then return the
-// parse error with the serial scanner's text.
+// parse error with the serial reference's text.
 func TestChunkedStrictAbortParity(t *testing.T) {
 	input, _ := chunkTestDNS(t, 40)
 	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
@@ -230,8 +226,8 @@ func TestChunkedCRLFAndUnterminatedTail(t *testing.T) {
 }
 
 // TestChunkedTooLongLineFailsLikeBufio: a line that outgrows the serial
-// scanners' token cap fails the chunked scan with bufio.ErrTooLong too,
-// after yielding the records before it.
+// reference's token cap fails the chunked scan with bufio.ErrTooLong
+// too, after yielding the records before it.
 func TestChunkedTooLongLineFailsLikeBufio(t *testing.T) {
 	input, _ := chunkTestDNS(t, 3)
 	in := input + strings.Repeat("y", maxIngestLine+2) + "\n"
@@ -267,15 +263,11 @@ func TestChunkedConnParity(t *testing.T) {
 	}
 	input := buf.String()
 
-	sc := NewConnScanner(strings.NewReader(input), Strict())
-	var want []ConnRecord
-	for sc.Scan() {
-		want = append(want, sc.Record())
+	want, _, err := refScan(strings.NewReader(input), Strict(), parseConnLineBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
-	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		var got []ConnRecord
 		_, err := scanChunked(strings.NewReader(input), workers, 96, Strict(), parseConnLineBytes,
 			func(batch []ConnRecord) error { got = append(got, batch...); return nil })
@@ -289,8 +281,9 @@ func TestChunkedConnParity(t *testing.T) {
 }
 
 // TestScannerSourceIngestWorkers drives the public knob: a
-// ScannerSource with parallel ingest must stream exactly the records a
-// serial source does, DNS and conns both.
+// ScannerSource must stream exactly the serial reference's records at
+// every ingest width, one worker and a negative width included, DNS and
+// conns both.
 func TestScannerSourceIngestWorkers(t *testing.T) {
 	dnsIn, _ := chunkTestDNS(t, 300)
 	var connBuf bytes.Buffer
@@ -315,11 +308,15 @@ func TestScannerSourceIngestWorkers(t *testing.T) {
 		}
 		return ds, cs, nil
 	}
-	wantDNS, wantConns, err := collect(1)
+	wantDNS, _, err := refScan(strings.NewReader(dnsIn), Strict(), parseDNSLineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 8} {
+	wantConns, _, err := refScan(strings.NewReader(connBuf.String()), Strict(), parseConnLineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{-1, 0, 1, 2, 8} {
 		gotDNS, gotConns, err := collect(w)
 		if err != nil {
 			t.Fatal(err)
@@ -328,4 +325,33 @@ func TestScannerSourceIngestWorkers(t *testing.T) {
 			t.Fatalf("ingest-workers=%d: stream mismatch", w)
 		}
 	}
+}
+
+// FuzzChunkedMatchesReference checks the one engine against the serial
+// reference on arbitrary input: chunk sizes of 1–256 bytes so splits
+// land everywhere, one worker and three, both formats, and both the
+// strict policy and a fuzzed QuarantineBudget(k, r). Every run must
+// produce the reference's records, quarantined {Line, Text, Err} and
+// terminal error.
+func FuzzChunkedMatchesReference(f *testing.F) {
+	dnsIn, _ := chunkTestDNS(f, 6)
+	f.Add([]byte(dnsIn), uint8(40), int8(-1), uint8(0))
+	f.Add([]byte("#fields\nnot\ta\trecord\n"+dnsIn+"garbage\r\nx"), uint8(7), int8(1), uint8(0))
+	f.Add([]byte("0.5\t1.0\tudp\t10.1.0.1\t50000\t203.0.113.9\t53\t64\t128\nbroken\tline\n\n0.6\t1\ttcp\t10.1.0.1\t1\t203.0.113.9\t2\t3\t4"), uint8(0), int8(0), uint8(50))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8, maxErrors int8, ratePct uint8) {
+		chunkBytes := 1 + int(chunk)
+		policies := []ErrorPolicy{Strict(), QuarantineBudget(int(maxErrors), float64(ratePct%101)/100)}
+		for _, policy := range policies {
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("chunk=%d workers=%d policy=%+v", chunkBytes, workers, policy.Budget)
+				wantRecs, wantQuar, wantErr := refScan(bytes.NewReader(data), policy, parseDNSLineBytes)
+				gotRecs, gotQuar, gotErr := collectDNSChunked(string(data), workers, chunkBytes, policy)
+				assertScanParity(t, "dns "+label, wantRecs, gotRecs, wantQuar, gotQuar, wantErr, gotErr)
+
+				wantConns, wantQuar, wantErr := refScan(bytes.NewReader(data), policy, parseConnLineBytes)
+				gotConns, gotQuar, gotErr := collectChunked(string(data), workers, chunkBytes, policy, parseConnLineBytes)
+				assertScanParity(t, "conn "+label, wantConns, gotConns, wantQuar, gotQuar, wantErr, gotErr)
+			}
+		}
+	})
 }

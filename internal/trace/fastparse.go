@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Allocation-free field parsing for the TSV scanners. The hot path
-// parses numbers and addresses directly from the scanner's byte buffer;
+// Allocation-free field parsing for the TSV reader. The hot path
+// parses numbers and addresses directly from the reader's chunk buffer;
 // every fallback calls the strconv/netip parser on a materialized
 // string, so accepted inputs, computed values, and error text are
 // exactly those of the historical strings.Split-based parser.
@@ -129,7 +129,7 @@ func parseIntBytes(b []byte) (int64, error) {
 	return int64(v), nil
 }
 
-// maxCachedAddrs bounds the per-scanner address cache against inputs
+// maxCachedAddrs bounds the per-worker address cache against inputs
 // with unbounded distinct addresses; past the cap, parsing still works,
 // it just stops memoizing.
 const maxCachedAddrs = 1 << 16
@@ -198,7 +198,7 @@ func (a *answerArena) take(scratch []Answer) []Answer {
 	return a.block[off : off+n : off+n]
 }
 
-// parseState is the reusable scratch a scanner threads through
+// parseState is the reusable scratch a parse worker threads through
 // per-line parsing: field offsets, the answer scratch and arena, the
 // address cache, and the name intern table.
 type parseState struct {

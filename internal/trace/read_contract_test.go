@@ -1,10 +1,11 @@
 package trace_test
 
 // The slice readers' contract. ReadDNS/ReadConns parse on the chunked
-// engine with one worker per CPU; the serial scanner loop below is the
-// reference they must match at any GOMAXPROCS: the same records, the
-// same error text, and the same return shapes — a parse failure returns
-// a nil slice, a read error returns the records before it.
+// engine with one worker per CPU; the serial reference loop
+// (reference_test.go) is what they must match at any GOMAXPROCS: the
+// same records, the same error text, and the same return shapes — a
+// parse failure returns a nil slice, a read error returns the records
+// before it.
 
 import (
 	"bufio"
@@ -22,13 +23,6 @@ import (
 	"dnscontext/internal/trace"
 )
 
-// recordScanner is the pull API both serial scanners share.
-type recordScanner[R any] interface {
-	Scan() bool
-	Record() R
-	Err() error
-}
-
 // readSpy remembers the last error its reader returned other than EOF.
 type readSpy struct {
 	r   io.Reader
@@ -43,33 +37,22 @@ func (s *readSpy) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// serialRead is the reference reader: the serial scanner loop, with the
-// slice readers' return shapes. An error that did not come from the
+// serialRead is the reference reader: the strict serial reference, with
+// the slice readers' return shapes. An error that did not come from the
 // reader or bufio's own limits is a parse failure and drops the records.
-func serialRead[R any](r io.Reader, scanner func(io.Reader) recordScanner[R]) ([]R, error) {
+func serialRead[R any](r io.Reader, scan func(io.Reader, trace.ErrorPolicy) ([]R, []trace.Quarantined, error)) ([]R, error) {
 	spy := &readSpy{r: r}
-	sc := scanner(spy)
-	var out []R
-	for sc.Scan() {
-		out = append(out, sc.Record())
-	}
-	err := sc.Err()
+	out, _, err := scan(spy, trace.Strict())
 	if err != nil && err != spy.err && err != bufio.ErrTooLong && err != io.ErrNoProgress {
 		return nil, err
 	}
 	return out, err
 }
 
-func serialReadDNS(r io.Reader) ([]trace.DNSRecord, error) {
-	return serialRead(r, func(r io.Reader) recordScanner[trace.DNSRecord] {
-		return trace.NewDNSScanner(r, trace.Strict())
-	})
-}
+func serialReadDNS(r io.Reader) ([]trace.DNSRecord, error) { return serialRead(r, trace.RefScanDNS) }
 
 func serialReadConns(r io.Reader) ([]trace.ConnRecord, error) {
-	return serialRead(r, func(r io.Reader) recordScanner[trace.ConnRecord] {
-		return trace.NewConnScanner(r, trace.Strict())
-	})
+	return serialRead(r, trace.RefScanConns)
 }
 
 // readCase is one reader input; open returns a fresh reader each call.

@@ -71,9 +71,10 @@ func (s *DatasetSource) StreamConns(yield func(*ConnRecord) error) error {
 	return nil
 }
 
-// ScannerSource streams the two Bro-style TSV logs through the
-// quarantining scanners. It is one-shot: the readers are consumed by
-// the first scan. The ErrorPolicy applies to both streams.
+// ScannerSource streams the two Bro-style TSV logs through the chunked
+// reader (chunked.go). It is one-shot: the readers are consumed by the
+// first scan. The ErrorPolicy applies to each stream on its own: each
+// has its own budget.
 type ScannerSource struct {
 	dns     io.Reader
 	conns   io.Reader
@@ -88,41 +89,39 @@ func NewScannerSource(dns, conns io.Reader, policy ErrorPolicy) *ScannerSource {
 	return &ScannerSource{dns: dns, conns: conns, policy: policy}
 }
 
-// SetIngestWorkers selects how many goroutines parse the TSV streams.
-// Values above one enable the chunked parallel scan (see chunked.go);
-// zero or one keeps the serial scanners. Either way the record
-// sequence, quarantine decisions, budget trip points, and errors are
-// bit-identical — only the wall clock moves.
+// SetIngestWorkers selects how many goroutines parse the TSV streams:
+// n when positive, one per CPU for zero (the default), one when
+// negative. The record sequence, quarantine decisions, budget trip
+// points, and errors are bit-identical at every width — only the wall
+// clock moves.
 func (s *ScannerSource) SetIngestWorkers(n int) { s.workers = n }
 
 // StreamDNS implements Source.
 func (s *ScannerSource) StreamDNS(yield func(*DNSRecord) error) error {
-	if s.workers > 1 {
-		return scanChunkedDNS(s.dns, s.workers, s.policy, yield)
-	}
-	sc := NewDNSScanner(s.dns, s.policy)
-	for sc.Scan() {
-		rec := sc.Record()
-		if err := yield(&rec); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return scanChunkedDNS(s.dns, s.workers, s.policy, yield)
 }
 
 // StreamConns implements Source.
 func (s *ScannerSource) StreamConns(yield func(*ConnRecord) error) error {
-	if s.workers > 1 {
-		return scanChunkedConns(s.conns, s.workers, s.policy, yield)
+	return scanChunkedConns(s.conns, s.workers, s.policy, yield)
+}
+
+// Dataset reads both logs whole into a resident Dataset, DNS first, at
+// the source's ingest width and under its error policy, copying each
+// stream's records once into an exact-length slice. Unlike an analysis
+// of the streams it needs no time order: the resident analysis sorts.
+// It consumes the readers as a scan does; on any error it returns a nil
+// Dataset.
+func (s *ScannerSource) Dataset() (*Dataset, error) {
+	dns, err := readChunked(s.dns, s.workers, s.policy, parseDNSLineBytes)
+	if err != nil {
+		return nil, err
 	}
-	sc := NewConnScanner(s.conns, s.policy)
-	for sc.Scan() {
-		rec := sc.Record()
-		if err := yield(&rec); err != nil {
-			return err
-		}
+	conns, err := readChunked(s.conns, s.workers, s.policy, parseConnLineBytes)
+	if err != nil {
+		return nil, err
 	}
-	return sc.Err()
+	return &Dataset{DNS: dns, Conns: conns}, nil
 }
 
 // DirSource streams a directory of time-partitioned trace files: the
@@ -178,48 +177,49 @@ func (s *DirSource) partitionFiles(suffixes ...string) ([]string, error) {
 
 // StreamDNS implements Source.
 func (s *DirSource) StreamDNS(yield func(*DNSRecord) error) error {
-	files, err := s.partitionFiles(".dns.tsv", ".dns.log")
-	if err != nil {
-		return err
-	}
-	for _, path := range files {
-		if err := s.streamFile(path, func(f *os.File) error {
-			sub := ScannerSource{dns: f, policy: s.policy, workers: s.workers}
-			return sub.StreamDNS(yield)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.streamFiles([]string{".dns.tsv", ".dns.log"}, func(f *os.File, policy ErrorPolicy) error {
+		return scanChunkedDNS(f, s.workers, policy, yield)
+	})
 }
 
 // StreamConns implements Source.
 func (s *DirSource) StreamConns(yield func(*ConnRecord) error) error {
-	files, err := s.partitionFiles(".conn.tsv", ".conn.log")
+	return s.streamFiles([]string{".conn.tsv", ".conn.log"}, func(f *os.File, policy ErrorPolicy) error {
+		return scanChunkedConns(f, s.workers, policy, yield)
+	})
+}
+
+// streamFiles scans the partitions carrying one of the suffixes in name
+// order, each under the source's policy with its own budget. Both a
+// file's terminal error and each line it quarantines name the file,
+// since a multi-file stream would otherwise report bare line numbers.
+func (s *DirSource) streamFiles(suffixes []string, scan func(*os.File, ErrorPolicy) error) error {
+	files, err := s.partitionFiles(suffixes...)
 	if err != nil {
 		return err
 	}
 	for _, path := range files {
-		if err := s.streamFile(path, func(f *os.File) error {
-			sub := ScannerSource{conns: f, policy: s.policy, workers: s.workers}
-			return sub.StreamConns(yield)
-		}); err != nil {
+		if err := streamFile(path, s.policy, scan); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// streamFile opens path, hands it to scan, and annotates any error with
-// the file name, since a multi-file stream would otherwise report bare
-// line numbers.
-func (s *DirSource) streamFile(path string, scan func(*os.File) error) error {
+// streamFile opens path and scans it; see streamFiles.
+func streamFile(path string, policy ErrorPolicy, scan func(*os.File, ErrorPolicy) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := scan(f); err != nil {
+	if sink := policy.Sink; sink != nil {
+		policy.Sink = func(q Quarantined) {
+			q.Err = fmt.Errorf("%s: %w", path, q.Err)
+			sink(q)
+		}
+	}
+	if err := scan(f, policy); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

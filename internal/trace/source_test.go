@@ -184,6 +184,48 @@ func TestDirSourceAnnotatesFileErrors(t *testing.T) {
 
 // TestSourceYieldErrorPropagates checks a yield error aborts the stream
 // and surfaces verbatim from every source implementation.
+// TestDirSourceQuarantineNamesFile: a malformed line in the second of
+// two partitions reaches the sink with the cause naming that file, and
+// a budget trip there names it too.
+func TestDirSourceQuarantineNamesFile(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := WriteDNS(&buf, sourceDataset().DNS); err != nil {
+		t.Fatal(err)
+	}
+	second := filepath.Join(dir, "part-001.dns.tsv")
+	for path, body := range map[string]string{
+		filepath.Join(dir, "part-000.dns.tsv"): buf.String(),
+		second:                                 buf.String() + "garbage\n",
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLine := strings.Count(buf.String(), "\n") + 1
+	for _, workers := range []int{1, 2} {
+		var sunk []Quarantined
+		p := QuarantineAll()
+		p.Sink = func(q Quarantined) { sunk = append(sunk, q) }
+		src := NewDirSource(dir, p)
+		src.SetIngestWorkers(workers)
+		if err := src.StreamDNS(func(*DNSRecord) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(sunk) != 1 || sunk[0].Line != wantLine || sunk[0].Text != "garbage" ||
+			!strings.HasPrefix(sunk[0].Err.Error(), second+": ") {
+			t.Fatalf("workers=%d: sink got %+v, want line %d of %s", workers, sunk, wantLine, second)
+		}
+
+		src = NewDirSource(dir, QuarantineBudget(0, 0))
+		src.SetIngestWorkers(workers)
+		err := src.StreamDNS(func(*DNSRecord) error { return nil })
+		if !errors.Is(err, ErrBudgetExceeded) || !strings.HasPrefix(err.Error(), second+": ") {
+			t.Fatalf("workers=%d: budget trip %v does not name %s", workers, err, second)
+		}
+	}
+}
+
 func TestSourceYieldErrorPropagates(t *testing.T) {
 	ds := sourceDataset()
 	sentinel := errors.New("stop")

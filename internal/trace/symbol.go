@@ -3,7 +3,7 @@ package trace
 // Name interning. A residential trace carries millions of DNS records
 // over a few thousand distinct query names; storing each name once and
 // handing out dense int32 symbols turns the analysis pipeline's
-// string-keyed hot maps into slice lookups and lets the scanners yield
+// string-keyed hot maps into slice lookups and lets the reader yield
 // records without allocating a fresh string per line.
 //
 // SymbolTable is append-only: symbols are assigned in first-intern
@@ -53,7 +53,7 @@ func (t *SymbolTable) InternBytes(b []byte) Sym {
 }
 
 // Canonical returns the interned string equal to b, allocating only the
-// first time each distinct value is seen. It is how the scanners
+// first time each distinct value is seen. It is how the reader
 // materialize query names without per-line garbage.
 func (t *SymbolTable) Canonical(b []byte) string {
 	if sym, ok := t.syms[string(b)]; ok {

@@ -156,15 +156,8 @@ func appendDNS(b []byte, d *DNSRecord) ([]byte, error) {
 	return b, nil
 }
 
-// parseDNSLine parses one data line of the DNS TSV format. It is the
-// standalone-string form of parseDNSLineBytes, for callers without a
-// scanner's reusable parse state.
-func parseDNSLine(lineNo int, line string) (DNSRecord, error) {
-	return parseDNSLineBytes(lineNo, []byte(line), newParseState())
-}
-
 // parseDNSLineBytes parses one data line in place: fields are located
-// by index in the scanner's line buffer, numbers and addresses parse
+// by index in the reader's chunk buffer, numbers and addresses parse
 // without materializing per-field strings, the query name is interned
 // through st.names, and the answers land in st's shared arena. Accepted
 // inputs, values, and error text are exactly those of the historical
@@ -267,12 +260,13 @@ var (
 	slashSep  = []byte("/")
 )
 
-// ReadDNS parses TSV DNS records. It is the strict slice-based form of
-// DNSScanner, parsed on the chunked engine with one worker per CPU: the
-// first malformed line aborts the read with a nil slice, and a read
-// error returns the records before it.
+// ReadDNS parses TSV DNS records on the chunked engine with one worker
+// per CPU, under the strict policy: the first malformed line aborts the
+// read with a nil slice, and a read error returns the records before
+// it. ScannerSource.Dataset is the same read at a chosen width and
+// error policy.
 func ReadDNS(r io.Reader) ([]DNSRecord, error) {
-	return readChunked(r, parseDNSLineBytes)
+	return readChunked(r, 0, Strict(), parseDNSLineBytes)
 }
 
 // WriteConns writes connection records as TSV. It rejects, naming the
@@ -308,12 +302,6 @@ func appendConn(b []byte, c *ConnRecord) ([]byte, error) {
 	b = append(b, '\t')
 	b = strconv.AppendInt(b, c.RespBytes, 10)
 	return append(b, '\n'), nil
-}
-
-// parseConnLine parses one data line of the connection TSV format. It
-// is the standalone-string form of parseConnLineBytes.
-func parseConnLine(lineNo int, line string) (ConnRecord, error) {
-	return parseConnLineBytes(lineNo, []byte(line), newParseState())
 }
 
 // parseConnLineBytes parses one data line in place; see
@@ -374,5 +362,5 @@ var (
 
 // ReadConns parses TSV connection records; see ReadDNS.
 func ReadConns(r io.Reader) ([]ConnRecord, error) {
-	return readChunked(r, parseConnLineBytes)
+	return readChunked(r, 0, Strict(), parseConnLineBytes)
 }

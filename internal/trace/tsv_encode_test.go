@@ -308,13 +308,19 @@ func TestForgedQueryLineRejected(t *testing.T) {
 	if err := refWriteDNS(&buf, []DNSRecord{rec}); err != nil {
 		t.Fatal(err)
 	}
-	sc := NewDNSScanner(&buf, QuarantineAll())
-	var clients []string
-	for sc.Scan() {
-		clients = append(clients, sc.Record().Client.String())
-	}
-	if len(clients) != 1 || clients[0] != "10.9.9.9" {
-		t.Fatalf("reference bytes read back as clients %v; the regression fixture no longer forges a record", clients)
+	for _, workers := range []int{1, 2} {
+		src := NewScannerSource(bytes.NewReader(buf.Bytes()), nil, QuarantineAll())
+		src.SetIngestWorkers(workers)
+		var clients []string
+		if err := src.StreamDNS(func(d *DNSRecord) error {
+			clients = append(clients, d.Client.String())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(clients) != 1 || clients[0] != "10.9.9.9" {
+			t.Fatalf("workers=%d: reference bytes read back as clients %v; the regression fixture no longer forges a record", workers, clients)
+		}
 	}
 }
 
